@@ -156,8 +156,9 @@
 // share), CodecJ (compression/decompression passes), and IdleJ (the
 // baseline burn while nothing is busy). The accounting is conserved by
 // construction — TotalJ equals Power.AvgW times IterTime to 1e-9 relative
-// tolerance, an invariant the test suite checks for every trainer and every
-// experiment of the reproduction suite. Data-parallel and pipeline results
+// tolerance, an invariant the test suite checks for every shape of the
+// trainer's replicas × stages grid and every experiment of the reproduction
+// suite. Data-parallel and pipeline results
 // sum per-device bills (each conserved against its own device's power
 // timeline over the same window) into the fleet total, reported per device
 // in Result.Devices. PlanRequest.Objective selects what the planner

@@ -13,7 +13,7 @@ import (
 // deadline firing.
 //
 // Cancellation is observed at layer boundaries of the simulated training
-// iteration — and at micro-batch boundaries under pipeline parallelism — so
+// iteration (in a pipeline, at each stage's layers of each micro-batch), so
 // a canceled simulation stops within one layer's worth of host work, leaving
 // no partially built Result behind.
 var ErrCanceled = errors.New("core: simulation canceled")

@@ -46,7 +46,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 }
 
 // TestRunContextCancelMidRun cancels after a handful of per-layer checks in
-// every trainer — single-device, data-parallel, pipeline — and checks the
+// every grid shape — single-device, data-parallel, pipeline — and checks the
 // run aborts with the sentinel instead of finishing or misreporting OOM.
 func TestRunContextCancelMidRun(t *testing.T) {
 	cases := []struct {

@@ -127,8 +127,8 @@ func TestCompressionPolicyHook(t *testing.T) {
 	}
 }
 
-// TestCompressionMultiDevice: the codec composes with the data-parallel
-// trainer — every replica compresses, the aggregate accounting holds, and
+// TestCompressionMultiDevice: the codec composes with data parallelism —
+// every replica compresses, the aggregate accounting holds, and
 // contention on the shared root complex still validates.
 func TestCompressionMultiDevice(t *testing.T) {
 	cfg := Config{

@@ -388,24 +388,25 @@ type Result struct {
 	// distinguished by ScheduleOp.Device.
 	Schedule []ScheduleOp
 
-	// Devices carries the per-replica metrics of a data-parallel run
-	// (Config.Devices > 1); nil for single-device simulations. The top-level
-	// pool/usage numbers describe one replica (replicas are symmetric),
-	// while OffloadBytes/PrefetchBytes/HostPinnedPeak aggregate across
-	// replicas. Pipeline runs (Config.Stages > 1) fill it too — device i
-	// hosts stage i — so device-level tooling works unchanged.
+	// Devices carries the per-device metrics of a run on more than one
+	// device, in device order: replicas under data parallelism
+	// (Config.Devices > 1), stages under pipeline parallelism
+	// (Config.Stages > 1, device i hosts stage i). Nil for single-device
+	// simulations. The per-replica top-level fields — pool usage, PeakByKind,
+	// FrameworkBytes, Layers, OnDemandFetches, Power — describe replica 0
+	// (replicas are symmetric), merged across its stages; the traffic,
+	// energy, host-pinned and inter-stage counters sum over every device.
 	Devices []DeviceResult
 
 	// Stages carries the per-stage metrics of a pipeline-parallel run
-	// (Config.Stages > 1); nil otherwise. Stage i runs on device i. For
-	// pipeline runs the top-level pool/usage fields report the maximum over
-	// stages (each stage owns its own pool), FrameworkBytes sums the
-	// classifier memory wherever it landed, the traffic counters aggregate
-	// across stages, and Power aggregates across the stage devices — AvgW
-	// is the exact whole-pipeline average board power (unlike data-parallel
-	// runs, whose Power describes one replica), while MaxW sums the stages'
-	// individual maxima, an upper bound on the simultaneous node peak.
-	// Per-device power stays in Devices[i].Power.
+	// (Config.Stages > 1); nil otherwise. Stage i runs on device i. Merging
+	// across stages, the top-level pool/usage fields report the maximum over
+	// stages (each stage owns its own pool), FrameworkBytes, PeakByKind and
+	// OnDemandFetches sum over the stages, and Power sums the stage devices —
+	// AvgW is the exact whole-pipeline average board power (unlike
+	// data-parallel runs, whose Power describes one replica), while MaxW sums
+	// the stages' individual maxima, an upper bound on the simultaneous node
+	// peak. Per-device power stays in Devices[i].Power.
 	Stages []StageResult
 	// MicroBatches is the pipeline's micro-batch count (1 otherwise).
 	MicroBatches int
@@ -546,10 +547,10 @@ func Run(net *dnn.Network, cfg Config) (*Result, error) {
 }
 
 // RunContext is Run under a context: the simulation checks ctx at every
-// layer (and micro-batch) boundary and aborts with an error wrapping both
-// ErrCanceled and the context's cause. A nil ctx behaves like
-// context.Background(). Cancellation reaches every trainer — single-device,
-// data-parallel, pipeline — and the dynamic policy's profiling candidates.
+// layer boundary and aborts with an error wrapping both ErrCanceled and the
+// context's cause. A nil ctx behaves like context.Background(). Cancellation
+// reaches every grid shape — single-device, data-parallel, pipeline — and
+// the dynamic policy's profiling candidates.
 func RunContext(ctx context.Context, net *dnn.Network, cfg Config) (*Result, error) {
 	return RunContextWith(ctx, net, cfg, nil)
 }
@@ -627,16 +628,25 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 	if err != nil {
 		return nil, fmt.Errorf("core: oracle rerun failed: %w", err)
 	}
-	res.Oracle = cfg.Oracle
-	res.Trainable = false
-	res.FailReason = runErr.Error()
+	return untrainable(res, cfg, runErr), nil
+}
+
+// untrainable is the report of a configuration that failed at its real
+// capacity with runErr: a copy of the oracle-capacity run's Result (the
+// hypothetical demand) carrying cfg's Oracle flag, Trainable=false, the
+// failure text, and — under Debug — the free list at the failed allocation.
+func untrainable(oracle *Result, cfg Config, runErr error) *Result {
+	r := *oracle
+	r.Oracle = cfg.Oracle
+	r.Trainable = false
+	r.FailReason = runErr.Error()
 	if cfg.Debug {
 		var af *AllocFailure
 		if errors.As(runErr, &af) {
-			res.DebugFreeSpans = af.FreeSpans
+			r.DebugFreeSpans = af.FreeSpans
 		}
 	}
-	return res, nil
+	return &r
 }
 
 // profileSimulate builds the Simulate callback handed to a profiling policy:

@@ -39,8 +39,8 @@ func checkConserved(t *testing.T, label string, e gpu.EnergyStats, avgW float64,
 	}
 }
 
-// TestEnergyConservationSingle checks the invariant on the single-device
-// trainer for every offload policy, with and without a compression codec.
+// TestEnergyConservationSingle checks the invariant on a single device
+// for every offload policy, with and without a compression codec.
 func TestEnergyConservationSingle(t *testing.T) {
 	zvc := compress.Config{Codec: compress.CodecZVC}
 	cases := []struct {

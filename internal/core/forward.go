@@ -23,7 +23,7 @@ type fwdPending struct {
 // issueForward launches one layer's forward pass asynchronously: vDNN's
 // offloads, the output allocation, the workspace and the kernel (Figures 7
 // and 9). The end-of-layer synchronization and the release of offloaded
-// device copies happen in finishForward, so a multi-replica driver can issue
+// device copies happen in finishForward, so the trainer can issue
 // the layer on every device before synchronizing any of them.
 func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 	var p fwdPending
@@ -120,43 +120,27 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 	return p, nil
 }
 
-// finishForward performs the end-of-layer synchronization when an offload is
-// in flight, then releases the offloaded device copies (Section III-B).
-func (e *runtime) finishForward(p fwdPending) {
-	if len(p.offOps) == 0 {
-		return
-	}
-	e.dev.TL.Wait(p.kernel)
-	for _, o := range p.offOps {
-		e.dev.TL.Wait(o)
-	}
-	for _, t := range p.offBufs {
-		bs := e.buf[t]
-		e.pool.Free(bs.block, e.now())
-		bs.block = nil
-		bs.offloaded = true
-	}
-	if p.offW != nil {
-		e.pool.Free(p.offW.block, e.now())
-		p.offW.block = nil
-		p.offW.offloaded = true
-	}
-}
-
-// finishForwardAsync is the pipeline trainer's end-of-layer step: the same
-// releases as finishForward, but without blocking the shared host thread —
-// the device copies are scheduled to free once the kernel and the offloads
-// have completed, so one stage's synchronization never stalls the issue of
+// finishForward ends a layer's forward pass: once the kernel and the
+// layer's offloads have completed, the offloaded device copies are released
+// (Section III-B). Synchronously, the host blocks until then — the
+// end-of-layer synchronization of Figure 9. With async (pipeline stages)
+// the releases are scheduled for that moment without blocking the shared
+// host thread, so one stage's synchronization never stalls the issue of
 // another stage's work.
-func (e *runtime) finishForwardAsync(p fwdPending) {
+func (e *runtime) finishForward(p fwdPending, async bool) {
 	if len(p.offOps) == 0 {
 		return
 	}
 	rel := p.kernel.End
 	for _, o := range p.offOps {
-		if o.End > rel {
-			rel = o.End
+		rel = max(rel, o.End)
+	}
+	if !async {
+		e.dev.TL.Wait(p.kernel)
+		for _, o := range p.offOps {
+			e.dev.TL.Wait(o)
 		}
+		rel = e.now()
 	}
 	for _, t := range p.offBufs {
 		bs := e.buf[t]

@@ -72,7 +72,7 @@ func TestMultiGPUDedicatedNoContention(t *testing.T) {
 
 // TestMultiGPUSharedRootContention: on a single shared x16 uplink, replicas
 // genuinely contend — transfers stall versus their dedicated-link time — and
-// bandwidth conservation holds (executeDP validates the channels on every
+// bandwidth conservation holds (execute validates the channels on every
 // run; this test also checks the visible symptom).
 func TestMultiGPUSharedRootContention(t *testing.T) {
 	r, err := Run(alexNet, multiCfg(VDNNAll, MemOptimal, 4, pcie.SharedGen3Root()))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"vdnn/internal/compress"
@@ -13,7 +12,8 @@ import (
 	"vdnn/internal/sim"
 )
 
-// Pipeline-parallel trainer (Config.Stages > 1).
+// Pipeline parallelism (Config.Stages > 1): the stage axis of the trainer's
+// grid (trainer.go).
 //
 // The network's layer sequence is split into contiguous stages, one device
 // per stage, and each iteration's minibatch into Config.MicroBatches
@@ -185,162 +185,6 @@ func resolveBoundaryCodecs(net *dnn.Network, cfg Config, pol OffloadPolicy, boun
 	return nil
 }
 
-// executePP simulates a pipeline-parallel configuration: per-stage runtimes
-// on one shared timeline, micro-batches streamed through them with
-// inter-stage transfers arbitrated over the topology's shared channels.
-func executePP(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy) (*Result, error) {
-	parts, bounds, err := pipelineStages(net, cfg, pol)
-	if err != nil {
-		return nil, err
-	}
-	tl := sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)
-	var down, up *sim.SharedChannel
-	if cfg.Topology.Shared() {
-		down = sim.NewSharedChannel("root.down", float64(cfg.Topology.RootBps))
-		up = sim.NewSharedChannel("root.up", float64(cfg.Topology.RootBps))
-	}
-
-	// Stages share the node's host DRAM: split the pinned-memory budget.
-	stCfg := cfg
-	stCfg.HostBytes = cfg.HostBytes / int64(cfg.Stages)
-
-	rts := make([]*runtime, len(parts))
-	for s, pr := range parts {
-		dev := gpu.NewDeviceOn(tl, cfg.Spec, s, down, up)
-		dev.UsePageMigration = cfg.PageMigration
-		plan, err := buildStagePlan(net, cfg, pol, pr.Lo, pr.Hi)
-		if err != nil {
-			return nil, fmt.Errorf("stage %d: %w", s, err)
-		}
-		rt, err := newRuntimeRange(net, stCfg, plan, dev, pr.Lo, pr.Hi, cfg.MicroBatches, nil)
-		if err != nil {
-			return nil, fmt.Errorf("stage %d: %w", s, err)
-		}
-		rt.ctx = ctx
-		rts[s] = rt
-	}
-
-	var winStart sim.Time
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		for _, rt := range rts {
-			rt.iter = iter
-			rt.resetIteration()
-		}
-		winStart = tl.Now()
-		if err := runStepPP(net, rts, bounds); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", iter, err)
-		}
-	}
-	winEnd := tl.Now()
-	if err := tl.Validate(); err != nil {
-		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
-	}
-	for _, ch := range []*sim.SharedChannel{down, up} {
-		if ch == nil {
-			continue
-		}
-		if err := ch.Validate(); err != nil {
-			return nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
-		}
-	}
-	return assemblePP(rts, cfg, winStart, winEnd), nil
-}
-
-// runStepPP drives one training step through the pipeline: a GPipe forward
-// schedule (at clock step k, stage s issues micro-batch k−s), the mirrored
-// backward schedule in reverse micro-batch order, then per-stage weight
-// updates over the accumulated gradients. Stage synchronization is purely
-// event-based — the shared host thread never blocks mid-pipeline, so one
-// stage's transfers stall another only through real engine and interconnect
-// contention.
-func runStepPP(net *dnn.Network, rts []*runtime, bounds []stageBoundary) error {
-	S := len(rts)
-	M := rts[0].mbCount
-
-	for step := 0; step <= (S-1)+(M-1); step++ {
-		if err := rts[0].checkCtx(); err != nil {
-			return err
-		}
-		for s := 0; s < S; s++ {
-			mb := step - s
-			if mb < 0 || mb >= M {
-				continue
-			}
-			rt := rts[s]
-			rt.setMB(mb)
-			if s == 0 {
-				if err := rt.beginIteration(); err != nil {
-					return fmt.Errorf("stage 0: %w", err)
-				}
-			}
-			for _, l := range net.Layers[rt.lo:rt.hi] {
-				p, err := rt.issueForward(l)
-				if err != nil {
-					return fmt.Errorf("stage %d: fwd %s (mb %d): %w", s, l.Name, mb, err)
-				}
-				rt.finishForwardAsync(p)
-			}
-			if s < S-1 {
-				if err := sendActivation(rts[s], rts[s+1], bounds[s], mb); err != nil {
-					return fmt.Errorf("stage %d: %w", s, err)
-				}
-			}
-		}
-	}
-
-	// gradRecv[s][m]: the receive of stage s's output gradient for
-	// micro-batch m, written by stage s+1's backward one clock step earlier.
-	gradRecv := make([][]*sim.Op, S)
-	for s := range gradRecv {
-		gradRecv[s] = make([]*sim.Op, M)
-	}
-	for step := 0; step <= (S-1)+(M-1); step++ {
-		if err := rts[0].checkCtx(); err != nil {
-			return err
-		}
-		for s := S - 1; s >= 0; s-- {
-			m := (S - 1 - s) + (M - 1) - step
-			if m < 0 || m >= M {
-				continue
-			}
-			rt := rts[s]
-			rt.setMB(m)
-			if s < S-1 {
-				if err := installBoundaryGrad(rt, bounds[s], gradRecv[s][m]); err != nil {
-					return fmt.Errorf("stage %d (mb %d): %w", s, m, err)
-				}
-			}
-			for i := rt.hi - 1; i >= rt.lo; i-- {
-				l := net.Layers[i]
-				// Event-based: no host-blocking end-of-layer sync; the
-				// prefetch/kernel ordering is carried by op dependencies.
-				if _, err := rt.issueBackward(l); err != nil {
-					return fmt.Errorf("stage %d: bwd %s (mb %d): %w", s, l.Name, m, err)
-				}
-			}
-			rt.bwdExtraDep = nil
-			if s > 0 {
-				gradRecv[s-1][m] = sendGradient(rts[s], rts[s-1], bounds[s-1], m)
-			}
-		}
-	}
-
-	for s, rt := range rts {
-		rt.setMB(0)
-		if err := rt.weightUpdate(nil); err != nil {
-			return fmt.Errorf("stage %d: %w", s, err)
-		}
-		// Drain the inter-stage streams too before the end-of-iteration
-		// check (the single/data-parallel trainers have no traffic there).
-		rt.dev.TL.WaitStream(rt.arSend)
-		rt.dev.TL.WaitStream(rt.arRecv)
-		if err := rt.endIteration(); err != nil {
-			return fmt.Errorf("stage %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
 // sendActivation moves boundary b's feature map for one micro-batch from
 // src to dst: an optional compression pass on src's D2H engine, the
 // wire-sized transfer across both shared channel directions, an optional
@@ -441,95 +285,4 @@ func sendGradient(src, dst *runtime, b stageBoundary, mb int) *sim.Op {
 	dst.ppRecvRaw += raw
 	dst.ppRecvBytes += raw
 	return recv
-}
-
-// assemblePP builds the Result of a pipeline run: merged per-layer stats,
-// per-stage detail in Stages (and the device view in Devices, so
-// device-level tooling keeps working), aggregate traffic, and the measured
-// pipeline bubble. Pool usage reports the peak stage (each stage owns its
-// own pool); framework memory and traffic counters aggregate.
-func assemblePP(rts []*runtime, cfg Config, winStart, winEnd sim.Time) *Result {
-	net := rts[0].net
-	r := &Result{
-		Network:      net.Name,
-		Batch:        net.Batch,
-		Policy:       cfg.Policy,
-		PolicyName:   rts[0].plan.PolicyName,
-		Algo:         cfg.Algo,
-		Oracle:       cfg.Oracle,
-		Trainable:    true,
-		IterTime:     winEnd - winStart,
-		MicroBatches: cfg.MicroBatches,
-		PeakByKind:   map[memalloc.Kind]int64{},
-	}
-	merged := make([]LayerStats, len(net.Layers))
-	for s, rt := range rts {
-		rt.finalizeStats()
-		copy(merged[rt.lo:rt.hi], rt.stats[rt.lo:rt.hi])
-		ms := rt.pool.Measure(winStart, winEnd)
-		if ms.Peak > r.MaxUsage {
-			r.MaxUsage = ms.Peak
-		}
-		if ms.Avg > r.AvgUsage {
-			r.AvgUsage = ms.Avg
-		}
-		for k, v := range ms.PeakByKind {
-			r.PeakByKind[k] += v
-		}
-		for _, k := range memalloc.Kinds() {
-			if v := rt.fw.UsedByKind(k); v > 0 {
-				r.PeakByKind[k] += v
-			}
-		}
-		r.FrameworkBytes += rt.fw.Used()
-
-		dr := rt.deviceResult(winStart, winEnd)
-		r.Devices = append(r.Devices, dr)
-		r.OffloadBytes += dr.OffloadBytes
-		r.PrefetchBytes += dr.PrefetchBytes
-		r.OffloadRawBytes += rt.offRawBytes
-		r.PrefetchRawBytes += rt.preRawBytes
-		r.CompressTime += rt.compressTime
-		r.DecompressTime += rt.decompressTime
-		r.HostPinnedPeak += rt.host.Peak()
-		r.OnDemandFetches += rt.onDemand
-		r.InterStageBytes += rt.ppSendBytes // each transfer counted once, at its sender
-		r.InterStageRawBytes += rt.ppSendRaw
-		r.Power.AvgW += dr.Power.AvgW
-		r.Power.MaxW += dr.Power.MaxW
-		r.Energy = r.Energy.Add(dr.Energy)
-
-		sr := StageResult{
-			Stage:         s,
-			FirstLayer:    rt.lo,
-			LastLayer:     rt.hi - 1,
-			StepTime:      dr.StepTime,
-			ComputeBusy:   dr.ComputeBusy,
-			BubbleTime:    dr.StepTime - dr.ComputeBusy,
-			SendBytes:     rt.ppSendBytes,
-			RecvBytes:     rt.ppRecvBytes,
-			OffloadBytes:  dr.OffloadBytes,
-			PrefetchBytes: dr.PrefetchBytes,
-			PoolPeak:      ms.Peak,
-		}
-		r.Stages = append(r.Stages, sr)
-		r.BubbleTime += sr.BubbleTime
-	}
-	if r.IterTime > 0 {
-		r.BubbleFraction = float64(r.BubbleTime) / (float64(len(rts)) * float64(r.IterTime))
-	}
-	r.CompressionRatio = compressionRatio(r.OffloadRawBytes, r.OffloadBytes)
-	r.MaxWorkingSet = maxWorkingSet(merged)
-	r.FETime = feWindow(merged)
-	if r.FETime == 0 {
-		r.FETime = r.IterTime
-	}
-	r.Layers = merged
-	if cfg.CaptureSchedule {
-		for _, rt := range rts {
-			r.Schedule = append(r.Schedule, rt.captureSchedule(winStart, winEnd)...)
-		}
-		sortSchedule(r.Schedule)
-	}
-	return r
 }

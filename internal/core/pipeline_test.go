@@ -47,8 +47,8 @@ func TestPipelineDefaults(t *testing.T) {
 	}
 }
 
-// TestPipelineStagesOneIdentical: a Stages=1 configuration routes through
-// the single-device trainer and produces the byte-identical Result of the
+// TestPipelineStagesOneIdentical: a Stages=1 configuration runs as the
+// single-device (1×1) grid and produces the byte-identical Result of the
 // zero-value configuration.
 func TestPipelineStagesOneIdentical(t *testing.T) {
 	net := traceNet(t)

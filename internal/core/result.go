@@ -4,79 +4,123 @@ import (
 	"sort"
 
 	"vdnn/internal/dnn"
-	"vdnn/internal/gpu"
 	"vdnn/internal/memalloc"
 	"vdnn/internal/sim"
 )
 
-// assemble builds the Result from the measured iteration window, reading
-// only this runtime's device (its engines are a subset of the timeline's
-// when replicas share one).
-func (e *runtime) assemble(winStart, winEnd sim.Time) *Result {
+// assemble builds the Result of the measured window [winStart, winEnd).
+// Replica row 0 supplies the per-replica fields — pool usage, layer stats,
+// PeakByKind, framework memory, on-demand fetches and Power — merged across
+// its stages (replicas are symmetric, stages each own a slice of the
+// network); traffic, energy, host-pinned and inter-stage counters sum over
+// every cell. Devices carries per-device detail whenever the grid has more
+// than one cell, Stages per-stage detail when it has more than one stage,
+// and AllReduceTime is measured when there is more than one replica.
+func (g *grid) assemble(cfg Config, winStart, winEnd sim.Time) *Result {
+	head := g.cells[0][0]
 	r := &Result{
-		Network:      e.net.Name,
-		Batch:        e.net.Batch,
-		Policy:       e.cfg.Policy,
-		PolicyName:   e.plan.PolicyName,
-		Algo:         e.cfg.Algo,
-		Oracle:       e.cfg.Oracle,
+		Network:      g.net.Name,
+		Batch:        g.net.Batch,
+		Policy:       cfg.Policy,
+		PolicyName:   head.plan.PolicyName,
+		Algo:         cfg.Algo,
+		Oracle:       cfg.Oracle,
 		Trainable:    true,
 		IterTime:     winEnd - winStart,
-		MicroBatches: e.cfg.MicroBatches, // 1 outside pipeline runs
+		MicroBatches: cfg.MicroBatches,
+		PeakByKind:   map[memalloc.Kind]int64{},
 	}
+	multi := g.R*g.S > 1
+	layers := head.stats // row 0's stages merge into the first one's stats
+	arStart, arEnd := sim.Time(-1), sim.Time(-1)
+	for ri, row := range g.cells {
+		for s, c := range row {
+			var dr DeviceResult
+			if multi {
+				dr = c.deviceResult(winStart, winEnd)
+				r.Devices = append(r.Devices, dr)
+			} else {
+				dr = c.deviceTotals(winStart, winEnd)
+			}
+			r.OffloadBytes += dr.OffloadBytes
+			r.PrefetchBytes += dr.PrefetchBytes
+			r.AllReduceBytes += dr.AllReduceBytes
+			r.OffloadRawBytes += c.offRawBytes
+			r.PrefetchRawBytes += c.preRawBytes
+			r.CompressTime += c.compressTime
+			r.DecompressTime += c.decompressTime
+			r.HostPinnedPeak += c.host.Peak()
+			r.InterStageBytes += c.ppSendBytes // each transfer counted once, at its sender
+			r.InterStageRawBytes += c.ppSendRaw
+			r.Energy = r.Energy.Add(dr.Energy)
+			if g.R > 1 {
+				arStart, arEnd = c.peerSpan(winStart, winEnd, arStart, arEnd)
+			}
+			if ri > 0 {
+				continue
+			}
 
-	ms := e.pool.Measure(winStart, winEnd)
-	r.MaxUsage = ms.Peak
-	r.AvgUsage = ms.Avg
-	if e.cfg.Debug {
-		r.DebugPeakTime = ms.PeakTime
-		r.DebugPeakLive = e.pool.SnapshotAt(ms.PeakTime)
-	}
-	if e.cfg.CaptureSchedule {
-		r.Schedule = e.captureSchedule(winStart, winEnd)
-		sortSchedule(r.Schedule)
-	}
-	r.FrameworkBytes = e.fw.Used()
-	r.PeakByKind = map[memalloc.Kind]int64{}
-	for k, v := range ms.PeakByKind {
-		r.PeakByKind[k] = v
-	}
-	for _, k := range memalloc.Kinds() {
-		if v := e.fw.UsedByKind(k); v > 0 {
-			r.PeakByKind[k] += v
+			c.finalizeStats()
+			copy(layers[c.lo:c.hi], c.stats[c.lo:c.hi])
+			ms := c.pool.Measure(winStart, winEnd)
+			r.MaxUsage = max(r.MaxUsage, ms.Peak)
+			r.AvgUsage = max(r.AvgUsage, ms.Avg)
+			for k, v := range ms.PeakByKind {
+				r.PeakByKind[k] += v
+			}
+			for _, k := range memalloc.Kinds() {
+				if v := c.fw.UsedByKind(k); v > 0 {
+					r.PeakByKind[k] += v
+				}
+			}
+			r.FrameworkBytes += c.fw.Used()
+			r.OnDemandFetches += c.onDemand
+			r.Power.AvgW += dr.Power.AvgW
+			r.Power.MaxW += dr.Power.MaxW
+			if cfg.Debug && g.S == 1 {
+				r.DebugPeakTime = ms.PeakTime
+				r.DebugPeakLive = c.pool.SnapshotAt(ms.PeakTime)
+			}
+			if g.S > 1 {
+				sr := StageResult{
+					Stage:         s,
+					FirstLayer:    c.lo,
+					LastLayer:     c.hi - 1,
+					StepTime:      dr.StepTime,
+					ComputeBusy:   dr.ComputeBusy,
+					BubbleTime:    dr.StepTime - dr.ComputeBusy,
+					SendBytes:     c.ppSendBytes,
+					RecvBytes:     c.ppRecvBytes,
+					OffloadBytes:  dr.OffloadBytes,
+					PrefetchBytes: dr.PrefetchBytes,
+					PoolPeak:      ms.Peak,
+				}
+				r.Stages = append(r.Stages, sr)
+				r.BubbleTime += sr.BubbleTime
+			}
 		}
 	}
-
-	for _, o := range e.dev.Ops() {
-		if o.Start < winStart || o.Start >= winEnd {
-			continue
-		}
-		switch o.Kind {
-		case sim.OpCopyD2H:
-			r.OffloadBytes += o.BusBytes
-		case sim.OpCopyH2D:
-			r.PrefetchBytes += o.BusBytes
-		}
+	if arEnd > arStart && arStart >= 0 {
+		r.AllReduceTime = arEnd - arStart
 	}
-	r.OffloadRawBytes = e.offRawBytes
-	r.PrefetchRawBytes = e.preRawBytes
-	r.CompressTime = e.compressTime
-	r.DecompressTime = e.decompressTime
+	if g.S > 1 && r.IterTime > 0 {
+		r.BubbleFraction = float64(r.BubbleTime) / (float64(g.S) * float64(r.IterTime))
+	}
 	r.CompressionRatio = compressionRatio(r.OffloadRawBytes, r.OffloadBytes)
-	r.OnDemandFetches = e.onDemand
-	r.HostPinnedPeak = e.host.Peak()
-	r.Power, r.Energy = e.dev.MeasurePowerEnergy(winStart, winEnd)
-
-	// Per-layer stats: finish reuse distances and algorithm records, then
-	// derive the feature-extraction window and the maximum layer-wise
-	// working set.
-	e.finalizeStats()
-	r.MaxWorkingSet = maxWorkingSet(e.stats)
-	r.FETime = feWindow(e.stats)
+	r.MaxWorkingSet = maxWorkingSet(layers)
+	r.FETime = feWindow(layers)
 	if r.FETime == 0 {
 		r.FETime = r.IterTime
 	}
-	r.Layers = e.stats
+	r.Layers = layers
+	if cfg.CaptureSchedule {
+		for _, row := range g.cells {
+			for _, c := range row {
+				r.Schedule = append(r.Schedule, c.captureSchedule(winStart, winEnd)...)
+			}
+		}
+		sortSchedule(r.Schedule)
+	}
 	return r
 }
 
@@ -186,63 +230,53 @@ func sortSchedule(s []ScheduleOp) {
 	})
 }
 
-// assembleDP builds the Result of a data-parallel run: replica 0's view for
-// the symmetric per-replica fields (pool usage, layer stats, policy
-// metadata), aggregates for the traffic counters, and per-replica detail in
-// Devices.
-func assembleDP(reps []*runtime, cfg Config, winStart, winEnd sim.Time) *Result {
-	r := reps[0].assemble(winStart, winEnd)
-	r.OffloadBytes, r.PrefetchBytes, r.HostPinnedPeak = 0, 0, 0
-	r.OffloadRawBytes, r.PrefetchRawBytes = 0, 0
-	r.CompressTime, r.DecompressTime = 0, 0
-	// Power keeps replica 0's view (replicas are symmetric); Energy, like the
-	// traffic counters, aggregates over every replica.
-	r.Energy = gpu.EnergyStats{}
-	if cfg.CaptureSchedule {
-		r.Schedule = nil
-		for _, rt := range reps {
-			r.Schedule = append(r.Schedule, rt.captureSchedule(winStart, winEnd)...)
-		}
-		sortSchedule(r.Schedule)
-	}
-
-	arStart, arEnd := sim.Time(-1), sim.Time(-1)
-	for _, rt := range reps {
-		d := rt.deviceResult(winStart, winEnd)
-		r.Devices = append(r.Devices, d)
-		r.Energy = r.Energy.Add(d.Energy)
-		r.OffloadBytes += d.OffloadBytes
-		r.PrefetchBytes += d.PrefetchBytes
-		r.AllReduceBytes += d.AllReduceBytes
-		r.OffloadRawBytes += rt.offRawBytes
-		r.PrefetchRawBytes += rt.preRawBytes
-		r.CompressTime += rt.compressTime
-		r.DecompressTime += rt.decompressTime
-		r.HostPinnedPeak += rt.host.Peak()
-		for _, eng := range rt.dev.Engines() {
-			for _, o := range eng.Ops() {
-				if o.Kind != sim.OpCopyP2P || o.End <= winStart || o.Start >= winEnd {
-					continue
-				}
-				if arStart < 0 || o.Start < arStart {
-					arStart = o.Start
-				}
-				if o.End > arEnd {
-					arEnd = o.End
-				}
+// deviceTotals measures the cell's wire traffic by kind, and its power and
+// energy, over the window — the per-device numbers every Result sums.
+func (e *runtime) deviceTotals(winStart, winEnd sim.Time) DeviceResult {
+	dr := DeviceResult{Device: e.dev.ID}
+	for _, eng := range e.dev.Engines() {
+		for _, o := range eng.Ops() {
+			if o.End <= winStart || o.Start >= winEnd || o.DurationT == 0 {
+				continue
+			}
+			switch o.Kind {
+			case sim.OpCopyD2H:
+				dr.OffloadBytes += o.BusBytes
+			case sim.OpCopyH2D:
+				dr.PrefetchBytes += o.BusBytes
+			case sim.OpCopyP2P:
+				dr.AllReduceBytes += o.BusBytes
 			}
 		}
 	}
-	if arEnd > arStart && arStart >= 0 {
-		r.AllReduceTime = arEnd - arStart
+	dr.OffloadRawBytes = e.offRawBytes
+	dr.CompressionRatio = compressionRatio(dr.OffloadRawBytes, dr.OffloadBytes)
+	dr.Power, dr.Energy = e.dev.MeasurePowerEnergy(winStart, winEnd)
+	return dr
+}
+
+// peerSpan widens [start, end] (start < 0: empty) to cover the cell's
+// peer-to-peer (all-reduce) transfers inside the window.
+func (e *runtime) peerSpan(winStart, winEnd, start, end sim.Time) (sim.Time, sim.Time) {
+	for _, eng := range e.dev.Engines() {
+		for _, o := range eng.Ops() {
+			if o.Kind != sim.OpCopyP2P || o.End <= winStart || o.Start >= winEnd {
+				continue
+			}
+			if start < 0 || o.Start < start {
+				start = o.Start
+			}
+			if o.End > end {
+				end = o.End
+			}
+		}
 	}
-	r.CompressionRatio = compressionRatio(r.OffloadRawBytes, r.OffloadBytes)
-	return r
+	return start, end
 }
 
 // deviceResult summarizes one replica's measured iteration.
 func (e *runtime) deviceResult(winStart, winEnd sim.Time) DeviceResult {
-	dr := DeviceResult{Device: e.dev.ID}
+	dr := e.deviceTotals(winStart, winEnd)
 	var minS, maxE sim.Time
 	first := true
 	var computeIv, copyIv []sim.Interval
@@ -272,14 +306,6 @@ func (e *runtime) deviceResult(winStart, winEnd sim.Time) DeviceResult {
 			case sim.OpCopyD2H, sim.OpCopyH2D, sim.OpCopyP2P, sim.OpCopyStage:
 				dr.CopyBusy += o.DurationT
 				copyIv = append(copyIv, sim.Interval{Start: o.Start, End: o.End, Op: o})
-				switch o.Kind {
-				case sim.OpCopyD2H:
-					dr.OffloadBytes += o.BusBytes
-				case sim.OpCopyH2D:
-					dr.PrefetchBytes += o.BusBytes
-				case sim.OpCopyP2P:
-					dr.AllReduceBytes += o.BusBytes
-				}
 				if !e.cfg.PageMigration {
 					if stall := o.DurationT - e.cfg.Spec.Link.DMATime(o.BusBytes); stall > 0 {
 						dr.ContentionStall += stall
@@ -294,9 +320,6 @@ func (e *runtime) deviceResult(winStart, winEnd sim.Time) DeviceResult {
 	if dr.CopyBusy > 0 {
 		dr.OverlapEff = float64(overlapTime(copyIv, computeIv)) / float64(dr.CopyBusy)
 	}
-	dr.OffloadRawBytes = e.offRawBytes
-	dr.CompressionRatio = compressionRatio(dr.OffloadRawBytes, dr.OffloadBytes)
-	dr.Power, dr.Energy = e.dev.MeasurePowerEnergy(winStart, winEnd)
 	return dr
 }
 

@@ -36,32 +36,33 @@ type layerState struct {
 	prefetched bool // set when some later backward pass prefetched them
 }
 
-// runtime is the per-device execution context of one training replica: the
-// device with its engines and streams, the vDNN memory pool, the
-// framework-side (classifier) memory, host staging, per-buffer and per-layer
-// state, and the statistics of the measured iteration. A single-device
-// simulation runs one runtime on its own timeline; the data-parallel trainer
-// (trainer.go) drives N runtimes in lockstep on one shared timeline, their
-// DMA traffic arbitrated over the topology's shared channels.
+// runtime is the per-device execution context of one grid cell — one
+// pipeline stage (the whole network outside pipelines) of one training
+// replica: the device with its engines and streams, the vDNN memory pool,
+// the framework-side (classifier) memory, host staging, per-buffer and
+// per-layer state, and the statistics of the measured iteration. The one
+// trainer (trainer.go) drives a grid of R replicas × S stages of runtimes on
+// one shared timeline, their DMA traffic arbitrated over the topology's
+// shared channels; a single-device simulation is the 1×1 grid.
 //
 // The per-layer work is split into issue/finish pairs (issueForward /
 // finishForward, issueBackward / finishBackward): issue launches the layer's
 // transfers and kernels asynchronously, finish performs the end-of-layer
-// synchronization and releases. The single-device driver calls them
+// synchronization and releases. With one replica the trainer calls them
 // back-to-back — exactly the sequence the paper's Figure 9 host loop
-// executes — while the multi-device driver issues a layer on every replica
-// before synchronizing any of them, modeling a driver thread that launches
-// work across all GPUs and then waits.
+// executes — while with several it issues a layer on every replica before
+// synchronizing any of them, modeling a host thread that launches work
+// across all GPUs and then waits.
 type runtime struct {
 	cfg  Config
 	net  *dnn.Network
 	plan *Plan
 
 	// ctx, when non-nil, is the cancellation signal of the enclosing
-	// RunContext call: the drivers probe it (checkCtx) at layer and
-	// micro-batch boundaries so a canceled request stops simulating within
-	// one boundary's worth of work. Set by the execute* drivers, never by
-	// newRuntime — construction is quick and always runs to completion.
+	// RunContext call: the trainer probes it (checkCtx) at layer
+	// boundaries so a canceled request stops simulating within one layer's
+	// worth of work. Set by execute, never by newRuntimeRange — construction
+	// is quick and always runs to completion.
 	ctx context.Context
 
 	// lo/hi bound the layer IDs this runtime owns: [0, len(Layers)) for a
@@ -84,7 +85,7 @@ type runtime struct {
 	mbLay   [][]*layerState
 
 	// bwdExtraDep, when set, is added to every backward kernel issued — the
-	// pipeline driver points it at the inter-stage gradient receive so a
+	// trainer points it at the inter-stage gradient receive so a
 	// stage's backward cannot start before its output gradient lands. Nil
 	// outside pipeline runs.
 	bwdExtraDep *sim.Op
@@ -100,8 +101,8 @@ type runtime struct {
 	fw   *memalloc.Pool // framework-side (classifier) memory, outside vDNN
 	host *hostmem.Host
 
-	// arSend/arRecv carry the gradient all-reduce of the data-parallel
-	// trainer; unused (and empty) in single-device runs.
+	// arSend/arRecv carry the replicas' gradient all-reduce and the
+	// pipeline's inter-stage transfers; empty on a single device.
 	arSend *sim.Stream
 	arRecv *sim.Stream
 
@@ -133,9 +134,13 @@ type runtime struct {
 	decompressTime sim.Time
 }
 
-// newRuntime builds the execution context of one replica on the given
-// device, performing the persistent allocations (framework memory, pool
-// setup). An allocation failure means the configuration is untrainable.
+// newRuntimeRange builds the execution context of one grid cell: the
+// stage owning layers [lo, hi) — the whole network outside pipelines — of
+// one replica, on the given device, split into mbCount micro-batches. It
+// performs the persistent allocations (framework memory, pool setup); an
+// allocation failure means the configuration is untrainable. A non-nil tr
+// attaches an allocator trace recorder to the vDNN pool (differential
+// evaluation; structure.go).
 //
 // Memory accounting follows the paper's prototype (Section IV-A): the
 // classification layers "remain unchanged and use the same cuBLAS routines
@@ -144,14 +149,6 @@ type runtime struct {
 // sized to the GPU's remaining capacity and holds everything the memory
 // manager controls: feature-extraction maps, gradient maps, FE weights, and
 // convolution workspaces. Figure 11's usage numbers are pool numbers.
-func newRuntime(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device) (*runtime, error) {
-	return newRuntimeRange(net, cfg, plan, dev, 0, len(net.Layers), 1, nil)
-}
-
-// newRuntimeRange builds the execution context of one pipeline stage owning
-// layers [lo, hi), split into mbCount micro-batches. The full range with one
-// micro-batch is exactly newRuntime. A non-nil tr attaches an allocator
-// trace recorder to the vDNN pool (differential evaluation; structure.go).
 func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, hi, mbCount int, tr *memalloc.Trace) (*runtime, error) {
 	e := &runtime{
 		cfg:       cfg,

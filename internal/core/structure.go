@@ -157,17 +157,7 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 	if errors.Is(runErr, ErrCanceled) {
 		return nil, false, runErr
 	}
-	r := *s.Res
-	r.Oracle = cfg.Oracle
-	r.Trainable = false
-	r.FailReason = runErr.Error()
-	if cfg.Debug {
-		var af *AllocFailure
-		if errors.As(runErr, &af) {
-			r.DebugFreeSpans = af.FreeSpans
-		}
-	}
-	return &r, true, nil
+	return untrainable(s.Res, cfg, runErr), true, nil
 }
 
 // BuildStructureAt simulates cfg at its configured device capacity while
@@ -214,21 +204,11 @@ func BuildStructureAt(ctx context.Context, net *dnn.Network, cfg Config) (*Struc
 	if err != nil {
 		return nil, nil, err
 	}
-	r := *st.Res
-	r.Oracle = cfg.Oracle
-	r.Trainable = false
-	r.FailReason = runErr.Error()
-	if cfg.Debug {
-		var af *AllocFailure
-		if errors.As(runErr, &af) {
-			r.DebugFreeSpans = af.FreeSpans
-		}
-	}
-	return st, &r, nil
+	return st, untrainable(st.Res, cfg, runErr), nil
 }
 
 // allocTraceKey carries a *memalloc.Trace through execute's context to the
-// single-device runtime's pool construction.
+// vDNN pool construction of a structure-shaped (single-device) run.
 type allocTraceKey struct{}
 
 func withAllocTrace(ctx context.Context, tr *memalloc.Trace) context.Context {

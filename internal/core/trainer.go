@@ -8,79 +8,286 @@ import (
 	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
 	"vdnn/internal/memalloc"
+	"vdnn/internal/partition"
 	"vdnn/internal/sim"
 )
 
-// execute simulates cfg.Iterations training iterations and returns metrics
-// for the last one. An allocation failure anywhere aborts with an error
-// (the configuration is untrainable). Pipeline configurations run the
-// micro-batch pipeline trainer (which derives its own per-stage plans from
-// the policy), configurations with more than one device run the
-// data-parallel trainer, and a single device runs one runtime on a dedicated
-// timeline — today's exact schedule. A done ctx aborts the run at the next
-// layer (or micro-batch) boundary with an ErrCanceled-wrapping error.
-func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*Result, error) {
-	if cfg.Stages > 1 {
-		return executePP(ctx, net, cfg, pol)
-	}
-	if cfg.Devices > 1 {
-		return executeDP(ctx, net, cfg, plan)
-	}
-	dev := gpu.NewDevice(cfg.Spec)
-	dev.UsePageMigration = cfg.PageMigration
-	e, err := newRuntimeRange(net, cfg, plan, dev, 0, len(net.Layers), 1, allocTraceFrom(ctx))
-	if err != nil {
-		return nil, err
-	}
-	e.ctx = ctx
+// maxDevices bounds the replica and stage counts; far beyond any PCIe root
+// complex.
+const maxDevices = 64
 
-	var winStart sim.Time
-	for e.iter = 0; e.iter < cfg.Iterations; e.iter++ {
-		e.resetIteration()
-		winStart = e.now()
-		if err := e.runIteration(); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", e.iter, err)
-		}
-	}
-	winEnd := e.now()
-	if err := e.dev.TL.Validate(); err != nil {
-		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
-	}
-	return e.assemble(winStart, winEnd), nil
+// grid is the set of runtimes one simulation drives: R data-parallel
+// replicas × S pipeline stages, cells[r][s] running stage s of replica r on
+// device r·S+s. A single device is the 1×1 grid, data parallelism R×1 and a
+// pipeline 1×S; validation keeps R > 1 and S > 1 apart. Every cell shares
+// one timeline — one event clock, one host issue thread — and its DMA
+// traffic is arbitrated over the topology's shared channels.
+type grid struct {
+	net     *dnn.Network
+	cells   [][]*runtime
+	R, S, M int             // replicas, stages, micro-batches per iteration
+	bounds  []stageBoundary // the S-1 inter-stage hand-offs
+
+	// Per-step buffers, sized once: the pending per-layer work of each
+	// replica, each replica's all-reduce gate, and the inter-stage gradient
+	// receives — gradRecv[r·S+s][m] is the receive of cell (r, s)'s output
+	// gradient for micro-batch m, written by stage s+1's backward one clock
+	// step earlier.
+	fp       []fwdPending
+	bp       []bwdPending
+	arDone   []*sim.Op
+	gradRecv [][]*sim.Op
 }
 
-// runIteration performs one single-device forward + backward (+ weight
-// update) pass, synchronizing each layer right after issuing it — the
-// paper's Figure 9 host loop.
-func (e *runtime) runIteration() error {
-	if err := e.beginIteration(); err != nil {
-		return err
-	}
-	for _, l := range e.net.Layers {
-		if err := e.checkCtx(); err != nil {
-			return err
+// execute simulates cfg.Iterations training iterations on the
+// cfg.Devices × cfg.Stages grid and returns metrics for the last one. An
+// allocation failure anywhere aborts with an error (the configuration is
+// untrainable). plan is the full-network plan every replica follows; a
+// pipeline instead derives one plan per stage from the policy. A done ctx
+// aborts the run at the next layer boundary with an ErrCanceled-wrapping
+// error. The allocator trace carried by ctx (withAllocTrace), if any, is
+// attached to the vDNN pool; only single-device configurations carry one.
+func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*Result, error) {
+	R, S := cfg.Devices, cfg.Stages
+	parts := []partition.Stage{{Lo: 0, Hi: len(net.Layers)}}
+	var bounds []stageBoundary
+	if S > 1 {
+		var err error
+		if parts, bounds, err = pipelineStages(net, cfg, pol); err != nil {
+			return nil, err
 		}
-		p, err := e.issueForward(l)
-		if err != nil {
-			return fmt.Errorf("fwd %s: %w", l.Name, err)
-		}
-		e.finishForward(p)
 	}
-	for i := len(e.net.Layers) - 1; i >= 0; i-- {
-		if err := e.checkCtx(); err != nil {
-			return err
-		}
-		l := e.net.Layers[i]
-		p, err := e.issueBackward(l)
-		if err != nil {
-			return fmt.Errorf("bwd %s: %w", l.Name, err)
-		}
-		e.finishBackward(p)
+	tl := sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)
+	var down, up *sim.SharedChannel
+	if cfg.Topology.Shared() {
+		down = sim.NewSharedChannel("root.down", float64(cfg.Topology.RootBps))
+		up = sim.NewSharedChannel("root.up", float64(cfg.Topology.RootBps))
 	}
-	if err := e.weightUpdate(nil); err != nil {
-		return err
+
+	// The grid's devices share the node's host DRAM: split the pinned-memory
+	// budget.
+	cellCfg := cfg
+	cellCfg.HostBytes = cfg.HostBytes / int64(R*S)
+
+	g := &grid{
+		net: net, cells: make([][]*runtime, R), R: R, S: S, M: cfg.MicroBatches, bounds: bounds,
+		fp: make([]fwdPending, R), bp: make([]bwdPending, R), arDone: make([]*sim.Op, R),
 	}
-	return e.endIteration()
+	if S > 1 {
+		g.gradRecv = make([][]*sim.Op, R*S)
+		for i := range g.gradRecv {
+			g.gradRecv[i] = make([]*sim.Op, g.M)
+		}
+	}
+	tr := allocTraceFrom(ctx)
+	for r := range g.cells {
+		g.cells[r] = make([]*runtime, S)
+		for s, pr := range parts {
+			cellPlan := plan
+			if S > 1 {
+				var err error
+				if cellPlan, err = buildStagePlan(net, cfg, pol, pr.Lo, pr.Hi); err != nil {
+					return nil, g.cellErr(r, s, err)
+				}
+			}
+			dev := gpu.NewDeviceOn(tl, cfg.Spec, r*S+s, down, up)
+			dev.UsePageMigration = cfg.PageMigration
+			rt, err := newRuntimeRange(net, cellCfg, cellPlan, dev, pr.Lo, pr.Hi, g.M, tr)
+			if err != nil {
+				return nil, g.cellErr(r, s, err)
+			}
+			rt.ctx = ctx
+			g.cells[r][s] = rt
+		}
+	}
+
+	var winStart sim.Time
+	for iter := 0; iter < cfg.Iterations; iter++ {
+		for _, row := range g.cells {
+			for _, c := range row {
+				c.iter = iter
+				c.resetIteration()
+			}
+		}
+		winStart = tl.Now()
+		if err := g.step(); err != nil {
+			return nil, fmt.Errorf("iteration %d: %w", iter, err)
+		}
+	}
+	winEnd := tl.Now()
+	if err := tl.Validate(); err != nil {
+		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
+	}
+	for _, ch := range []*sim.SharedChannel{down, up} {
+		if ch == nil {
+			continue
+		}
+		if err := ch.Validate(); err != nil {
+			return nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
+		}
+	}
+	return g.assemble(cfg, winStart, winEnd), nil
+}
+
+// step drives one training step over the grid: the paper's Figure 9 host
+// loop, generalized to R×S devices issued from one host thread.
+//
+// Stages follow a GPipe clock: at forward clock step k stage s issues
+// micro-batch k−s, and the backward pass mirrors the schedule in reverse
+// micro-batch order (with one stage and one micro-batch there is a single
+// clock step). Within a stage the host walks the layers in lockstep across
+// the replicas — it issues a layer on every replica, then performs the
+// end-of-layer synchronizations — and after the backward pass each stage's
+// replicas ring-all-reduce their weight gradients before the SGD updates.
+//
+// With several stages the end-of-layer synchronization is event-based
+// instead of host-blocking: the shared host thread never blocks
+// mid-pipeline, so one stage stalls another only through real engine and
+// interconnect contention.
+func (g *grid) step() error {
+	S, M := g.S, g.M
+	async := S > 1
+	head := g.cells[0][0]
+
+	for k := 0; k < S+M-1; k++ {
+		for s := 0; s < S; s++ {
+			mb := k - s
+			if mb < 0 || mb >= M {
+				continue
+			}
+			for r, row := range g.cells {
+				row[s].setMB(mb)
+				if s == 0 {
+					if err := row[s].beginIteration(); err != nil {
+						return g.cellErr(r, s, err)
+					}
+				}
+			}
+			stage := g.cells[0][s]
+			for _, l := range g.net.Layers[stage.lo:stage.hi] {
+				if err := head.checkCtx(); err != nil {
+					return err
+				}
+				for r, row := range g.cells {
+					p, err := row[s].issueForward(l)
+					if err != nil {
+						return g.layerErr(r, s, "fwd", l, err)
+					}
+					g.fp[r] = p
+				}
+				for r, row := range g.cells {
+					row[s].finishForward(g.fp[r], async)
+				}
+			}
+			if s < S-1 {
+				for r, row := range g.cells {
+					if err := sendActivation(row[s], row[s+1], g.bounds[s], mb); err != nil {
+						return g.cellErr(r, s, err)
+					}
+				}
+			}
+		}
+	}
+
+	for _, recv := range g.gradRecv {
+		clear(recv)
+	}
+	for k := 0; k < S+M-1; k++ {
+		for s := S - 1; s >= 0; s-- {
+			mb := (S - 1 - s) + (M - 1) - k
+			if mb < 0 || mb >= M {
+				continue
+			}
+			for r, row := range g.cells {
+				row[s].setMB(mb)
+				if s < S-1 {
+					if err := installBoundaryGrad(row[s], g.bounds[s], g.gradRecv[r*S+s][mb]); err != nil {
+						return fmt.Errorf("stage %d (mb %d): %w", s, mb, err)
+					}
+				}
+			}
+			stage := g.cells[0][s]
+			for i := stage.hi - 1; i >= stage.lo; i-- {
+				l := g.net.Layers[i]
+				if err := head.checkCtx(); err != nil {
+					return err
+				}
+				for r, row := range g.cells {
+					p, err := row[s].issueBackward(l)
+					if err != nil {
+						return g.layerErr(r, s, "bwd", l, err)
+					}
+					g.bp[r] = p
+				}
+				// Pipelined, there is no host-blocking end-of-layer sync: the
+				// prefetch/kernel ordering is carried by op dependencies.
+				if !async {
+					for r, row := range g.cells {
+						row[s].finishBackward(g.bp[r])
+					}
+				}
+			}
+			for r, row := range g.cells {
+				row[s].bwdExtraDep = nil
+				if s > 0 {
+					g.gradRecv[r*S+s-1][mb] = sendGradient(row[s], row[s-1], g.bounds[s-1], mb)
+				}
+			}
+		}
+	}
+
+	// The convnet-benchmarks timing protocol (SkipWeightUpdate) drops the
+	// weight update and with it the gradient sync that exists only to feed
+	// it — otherwise the all-reduce would dangle past the iteration
+	// boundary, unsynchronized by anything.
+	for s := 0; s < S; s++ {
+		if !head.cfg.SkipWeightUpdate {
+			g.allReduce(s)
+		}
+		for r, row := range g.cells {
+			row[s].setMB(0)
+			if err := row[s].weightUpdate(g.arDone[r]); err != nil {
+				return g.cellErr(r, s, err)
+			}
+		}
+		for r, row := range g.cells {
+			if async {
+				// Drain the inter-stage streams before the end-of-iteration
+				// check; without stages they carry only the all-reduce, which
+				// the SGD updates already wait on.
+				row[s].dev.TL.WaitStream(row[s].arSend)
+				row[s].dev.TL.WaitStream(row[s].arRecv)
+			}
+			if err := row[s].endIteration(); err != nil {
+				return g.cellErr(r, s, err)
+			}
+		}
+	}
+	return nil
+}
+
+// cellErr prefixes a cell's error with its grid coordinates: "stage s:"
+// only when there are several stages, "device r:" only when there are
+// several replicas — a single device's errors read unprefixed.
+func (g *grid) cellErr(r, s int, err error) error {
+	if g.S > 1 {
+		err = fmt.Errorf("stage %d: %w", s, err)
+	}
+	if g.R > 1 {
+		err = fmt.Errorf("device %d: %w", r, err)
+	}
+	return err
+}
+
+// layerErr wraps a failure of one layer's forward or backward pass with the
+// layer — and, in a pipeline, the micro-batch — before the cell prefix.
+func (g *grid) layerErr(r, s int, pass string, l *dnn.Layer, err error) error {
+	if g.S > 1 {
+		err = fmt.Errorf("%s %s (mb %d): %w", pass, l.Name, g.cells[r][s].mbIndex, err)
+	} else {
+		err = fmt.Errorf("%s %s: %w", pass, l.Name, err)
+	}
+	return g.cellErr(r, s, err)
 }
 
 // beginIteration prepares the input batch buffer. The baseline holds it
@@ -101,9 +308,8 @@ func (e *runtime) beginIteration() error {
 }
 
 // weightUpdate issues the SGD update kernels. syncDep, when non-nil, orders
-// every update after it — the data-parallel trainer passes the replica's
-// final all-reduce transfer so no weight updates before its gradients are
-// globally reduced.
+// every update after it — the replica's final all-reduce transfer, so no
+// weight updates before its gradients are globally reduced.
 func (e *runtime) weightUpdate(syncDep *sim.Op) error {
 	if e.cfg.SkipWeightUpdate {
 		return nil
@@ -139,163 +345,33 @@ func (e *runtime) endIteration() error {
 	return e.checkIterationEnd()
 }
 
-// --- data-parallel trainer ---
-
-// maxDevices bounds the replica count; far beyond any PCIe root complex.
-const maxDevices = 64
-
-// executeDP simulates cfg.Devices data-parallel replicas on one shared
-// timeline: each replica trains the full network on its own minibatch under
-// the same plan, all DMA traffic is arbitrated over the topology's shared
-// root-complex channels, and a ring all-reduce synchronizes the weight
-// gradients each step before the SGD updates run.
-//
-// The driver is one host thread that walks the layer sequence in lockstep:
-// it issues a layer's work on every replica, then performs the end-of-layer
-// synchronizations — the multi-GPU generalization of the paper's Figure 9
-// loop. With one device and a dedicated topology this degenerates to the
-// single-device schedule exactly.
-func executeDP(ctx context.Context, net *dnn.Network, cfg Config, plan *Plan) (*Result, error) {
-	n := cfg.Devices
-	tl := sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)
-	var down, up *sim.SharedChannel
-	if cfg.Topology.Shared() {
-		down = sim.NewSharedChannel("root.down", float64(cfg.Topology.RootBps))
-		up = sim.NewSharedChannel("root.up", float64(cfg.Topology.RootBps))
+// allReduce injects a ring all-reduce of stage s's weight gradients across
+// the replicas over the interconnect, leaving each replica's last transfer
+// (its SGD gate) in g.arDone: 2(R-1) phases in which every replica
+// simultaneously sends one gradient chunk to its ring successor and receives
+// one from its predecessor. Each replica moves 2(R-1)/R of the gradients per
+// direction — the bandwidth-optimal schedule — and under a shared topology
+// this traffic contends with everything else on the root complex.
+func (g *grid) allReduce(s int) {
+	clear(g.arDone)
+	n := g.R
+	if n < 2 {
+		return
 	}
-
-	// Replicas share the node's host DRAM: split the pinned-memory budget.
-	repCfg := cfg
-	repCfg.HostBytes = cfg.HostBytes / int64(n)
-
-	reps := make([]*runtime, n)
-	for i := range reps {
-		dev := gpu.NewDeviceOn(tl, cfg.Spec, i, down, up)
-		dev.UsePageMigration = cfg.PageMigration
-		r, err := newRuntime(net, repCfg, plan, dev)
-		if err != nil {
-			return nil, fmt.Errorf("device %d: %w", i, err)
-		}
-		r.ctx = ctx
-		reps[i] = r
+	var gradBytes int64
+	stage := g.cells[0][s]
+	for _, l := range g.net.Layers[stage.lo:stage.hi] {
+		gradBytes += l.WeightBytes(g.net.DType)
 	}
-
-	gradBytes := net.TotalWeightBytes()
-	var winStart sim.Time
-	for iter := 0; iter < cfg.Iterations; iter++ {
-		for _, r := range reps {
-			r.iter = iter
-			r.resetIteration()
-		}
-		winStart = tl.Now()
-		if err := runStepDP(net, reps, gradBytes); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", iter, err)
-		}
-	}
-	winEnd := tl.Now()
-	if err := tl.Validate(); err != nil {
-		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
-	}
-	for _, ch := range []*sim.SharedChannel{down, up} {
-		if ch == nil {
-			continue
-		}
-		if err := ch.Validate(); err != nil {
-			return nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
-		}
-	}
-	return assembleDP(reps, cfg, winStart, winEnd), nil
-}
-
-// runStepDP drives one training step across all replicas in lockstep.
-func runStepDP(net *dnn.Network, reps []*runtime, gradBytes int64) error {
-	for i, r := range reps {
-		if err := r.beginIteration(); err != nil {
-			return fmt.Errorf("device %d: %w", i, err)
-		}
-	}
-	fp := make([]fwdPending, len(reps))
-	for _, l := range net.Layers {
-		if err := reps[0].checkCtx(); err != nil {
-			return err
-		}
-		for i, r := range reps {
-			p, err := r.issueForward(l)
-			if err != nil {
-				return fmt.Errorf("device %d: fwd %s: %w", i, l.Name, err)
-			}
-			fp[i] = p
-		}
-		for i, r := range reps {
-			r.finishForward(fp[i])
-		}
-	}
-	bp := make([]bwdPending, len(reps))
-	for j := len(net.Layers) - 1; j >= 0; j-- {
-		if err := reps[0].checkCtx(); err != nil {
-			return err
-		}
-		l := net.Layers[j]
-		for i, r := range reps {
-			p, err := r.issueBackward(l)
-			if err != nil {
-				return fmt.Errorf("device %d: bwd %s: %w", i, l.Name, err)
-			}
-			bp[i] = p
-		}
-		for i, r := range reps {
-			r.finishBackward(bp[i])
-		}
-	}
-	// The convnet-benchmarks timing protocol (SkipWeightUpdate) drops the
-	// weight update and with it the gradient sync that exists only to feed
-	// it — otherwise the all-reduce would dangle past the iteration
-	// boundary, unsynchronized by anything.
-	if reps[0].cfg.SkipWeightUpdate {
-		return endStepDP(reps)
-	}
-	ar := allReduce(reps, gradBytes)
-	for i, r := range reps {
-		if err := r.weightUpdate(ar.done[i]); err != nil {
-			return fmt.Errorf("device %d: %w", i, err)
-		}
-	}
-	return endStepDP(reps)
-}
-
-// endStepDP drains every replica's streams and checks the release
-// discipline.
-func endStepDP(reps []*runtime) error {
-	for i, r := range reps {
-		if err := r.endIteration(); err != nil {
-			return fmt.Errorf("device %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// allReduceOps records the gradient-synchronization transfers of one step.
-type allReduceOps struct {
-	done []*sim.Op // per replica: last transfer (the SGD gate)
-}
-
-// allReduce injects a ring all-reduce of the weight gradients over the
-// interconnect: 2(N-1) phases in which every replica simultaneously sends
-// one gradient chunk to its ring successor and receives one from its
-// predecessor. Each replica moves 2(N-1)/N of the model per direction — the
-// bandwidth-optimal schedule — and under a shared topology this traffic
-// contends with everything else on the root complex.
-func allReduce(reps []*runtime, gradBytes int64) *allReduceOps {
-	n := len(reps)
-	ar := &allReduceOps{done: make([]*sim.Op, n)}
-	if n < 2 || gradBytes == 0 {
-		return ar
+	if gradBytes == 0 {
+		return
 	}
 	chunk := (gradBytes + int64(n) - 1) / int64(n)
 	recv := make([]*sim.Op, n)
 	for phase := 0; phase < 2*(n-1); phase++ {
 		send := make([]*sim.Op, n)
-		for i, r := range reps {
+		for i, row := range g.cells {
+			r := row[s]
 			// The first send waits for the replica's gradients (everything
 			// queued on stream_compute); later sends forward the chunk
 			// received in the previous phase.
@@ -305,11 +381,11 @@ func allReduce(reps []*runtime, gradBytes int64) *allReduceOps {
 			}
 			send[i] = r.dev.PeerSend(fmt.Sprintf("AR-send:p%d", phase), chunk, r.arSend, dep)
 		}
-		for i, r := range reps {
+		for i, row := range g.cells {
+			r := row[s]
 			peer := send[(i-1+n)%n]
 			recv[i] = r.dev.PeerRecv(fmt.Sprintf("AR-recv:p%d", phase), chunk, r.arRecv, peer)
 		}
 	}
-	copy(ar.done, recv)
-	return ar
+	copy(g.arDone, recv)
 }

@@ -238,9 +238,9 @@ func (s Spec) Validate() error {
 
 // Device binds a Spec to a simulation timeline with the standard engine and
 // stream layout used by both the baseline and vDNN runtimes. Several devices
-// may share one timeline (one event clock) — the data-parallel trainer binds
-// N replica devices to a single timeline and, under a shared topology, to a
-// pair of shared interconnect channels.
+// may share one timeline (one event clock) — the trainer binds every device
+// of its replicas × stages grid to a single timeline and, under a shared
+// topology, to a pair of shared interconnect channels.
 type Device struct {
 	Spec Spec
 	TL   *sim.Timeline

@@ -49,7 +49,7 @@ func (s *Server) newMetricsRegistry() *metrics.Registry {
 		eng(func(st vdnn.EngineStats) int64 { return st.Coalesced }))
 	cf("vdnn_engine_cache_evictions_total", "Completed entries dropped to honor the cache bound.",
 		eng(func(st vdnn.EngineStats) int64 { return st.Evictions }))
-	cf("vdnn_engine_canceled_total", "Computations aborted because every waiter went away.",
+	cf("vdnn_engine_canceled_total", "Top-level computations aborted because every waiter went away.",
 		eng(func(st vdnn.EngineStats) int64 { return st.Canceled }))
 
 	// Store: the persistent result store, when one is attached.

@@ -10,48 +10,68 @@ import (
 
 func TestPlanEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := post(t, ts.URL+"/v1/plan",
-		`{"network": "alexnet", "batch": 8, "max_devices": 2}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	cases := []struct {
+		name, body string
+		// zeroEnum: the winner's policy is base or its algo is m — the enum
+		// zero values, which the paste-ready body must still spell out.
+		zeroEnum bool
+	}{
+		{"two devices", `{"network": "alexnet", "batch": 8, "max_devices": 2}`, false},
+		{"one device", `{"network": "alexnet", "batch": 8, "max_devices": 1}`, true},
 	}
-	var out PlanResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Feasible || out.Best == nil || out.Result == nil {
-		t.Fatalf("expected a feasible plan with a winner, got %+v", out)
-	}
-	if out.Best.Mode == "" || out.Best.Policy == "" {
-		t.Fatalf("winner labels missing: %+v", out.Best)
-	}
-	if len(out.Evidence) != out.Counters.Space+out.Counters.Refined {
-		t.Fatalf("evidence rows %d != space %d + refined %d",
-			len(out.Evidence), out.Counters.Space, out.Counters.Refined)
-	}
-	if out.Counters.Pruned == 0 {
-		t.Fatalf("expected a pruned search, got counters %+v", out.Counters)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := post(t, ts.URL+"/v1/plan", tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+			}
+			var out PlanResponse
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatal(err)
+			}
+			if !out.Feasible || out.Best == nil || out.Result == nil {
+				t.Fatalf("expected a feasible plan with a winner, got %+v", out)
+			}
+			if out.Best.Mode == "" || out.Best.Policy == "" {
+				t.Fatalf("winner labels missing: %+v", out.Best)
+			}
+			if len(out.Evidence) != out.Counters.Space+out.Counters.Refined {
+				t.Fatalf("evidence rows %d != space %d + refined %d",
+					len(out.Evidence), out.Counters.Space, out.Counters.Refined)
+			}
+			if out.Counters.Pruned == 0 {
+				t.Fatalf("expected a pruned search, got counters %+v", out.Counters)
+			}
+			win := out.Best.Request
+			if tc.zeroEnum && win.Policy != vdnn.Baseline && win.Algo != vdnn.MemOptimal {
+				t.Fatalf("winner %v/%v: want policy base or algo m for this input", win.Policy, win.Algo)
+			}
 
-	// The winner ships a paste-ready /v1/simulate body; replaying it must
-	// reproduce the planner's own metrics (and hit the shared cache).
-	req, err := json.Marshal(out.Best.Request)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body = post(t, ts.URL+"/v1/simulate", string(req))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replaying the winner: status = %d, body %s", resp.StatusCode, body)
-	}
-	var sim SimResponse
-	if err := json.Unmarshal(body, &sim); err != nil {
-		t.Fatal(err)
-	}
-	if !sim.Trainable {
-		t.Fatalf("replayed winner not trainable: %s", sim.FailReason)
-	}
-	if sim.IterTimeMs != out.Result.IterTimeMs {
-		t.Fatalf("replayed winner iter time %.3f != planned %.3f", sim.IterTimeMs, out.Result.IterTimeMs)
+			// The winner ships a paste-ready /v1/simulate body; replaying it
+			// must reproduce the planner's own configuration and metrics (and
+			// hit the shared cache).
+			req, err := json.Marshal(win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, body = post(t, ts.URL+"/v1/simulate", string(req))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("replaying the winner: status = %d, body %s", resp.StatusCode, body)
+			}
+			var sim SimResponse
+			if err := json.Unmarshal(body, &sim); err != nil {
+				t.Fatal(err)
+			}
+			if sim.Policy != win.Policy || sim.Algo != win.Algo {
+				t.Fatalf("replayed %v/%v, winner is %v/%v (body %s)", sim.Policy, sim.Algo, win.Policy, win.Algo, req)
+			}
+			if !sim.Trainable {
+				t.Fatalf("replayed winner not trainable: %s", sim.FailReason)
+			}
+			if sim.IterTimeMs != out.Result.IterTimeMs {
+				t.Fatalf("replayed winner iter time %.3f != planned %.3f", sim.IterTimeMs, out.Result.IterTimeMs)
+			}
+		})
 	}
 }
 

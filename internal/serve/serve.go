@@ -60,11 +60,13 @@ type SimRequest struct {
 	// Link overrides the device's host interconnect by registry name.
 	Link string `json:"link,omitempty"`
 
-	// Policy selects the memory manager. Default "vdnn-dyn".
-	Policy vdnn.Policy `json:"policy,omitempty"`
+	// Policy selects the memory manager. Default "vdnn-dyn". Policy and Algo
+	// always marshal: their zero values ("base", "m") are not the defaults,
+	// so an omitted field would replay as a different configuration.
+	Policy vdnn.Policy `json:"policy"`
 	// Algo selects the convolution algorithm mode. Default "p" unless the
 	// policy is the dynamic one (which profiles its own).
-	Algo vdnn.AlgoMode `json:"algo,omitempty"`
+	Algo vdnn.AlgoMode `json:"algo"`
 	// Prefetch selects the prefetch schedule. Default "jit".
 	Prefetch vdnn.PrefetchMode `json:"prefetch,omitempty"`
 

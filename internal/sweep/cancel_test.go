@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -26,6 +27,10 @@ type spinPolicy struct {
 	started chan struct{} // closed when the simulation is running
 	once    sync.Once
 	stop    atomic.Bool
+	// fresh, when nonzero, gives every candidate its own cache key (host
+	// DRAM offset by fresh and the candidate index), so the policy always
+	// has a nested computation in flight instead of looping on cache hits.
+	fresh int64
 }
 
 func (p *spinPolicy) Profile(net *dnn.Network, cfg core.Config, simulate core.Simulate) (*core.Result, error) {
@@ -41,6 +46,9 @@ func (p *spinPolicy) Profile(net *dnn.Network, cfg core.Config, simulate core.Si
 		}
 		s := sub
 		s.Iterations = 1 + i%3
+		if p.fresh > 0 {
+			s.HostBytes = 64<<30 + p.fresh<<20 + int64(i)
+		}
 		res, err := simulate(s)
 		if err != nil {
 			return nil, err
@@ -87,6 +95,67 @@ func TestRunCancelMidFlight(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Simulations != 2 {
 		t.Errorf("simulations = %d, want 2 (canceled run must not be cached)", st.Simulations)
+	}
+}
+
+// TestCanceledCountsTopLevelAborts puts K distinct spin-policy keys in
+// flight at once, cancels a seeded subset of them and lets the rest finish.
+// Every spinning request keeps a nested profiling candidate in flight, yet
+// Stats.Canceled must equal the canceled subset's size: one per abandoned
+// top-level request.
+func TestCanceledCountsTopLevelAborts(t *testing.T) {
+	const k = 5
+	net := networks.AlexNet(32)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng := NewEngine(k) // a worker slot per request: all in flight at once
+		pols := make([]*spinPolicy, k)
+		cancels := make([]context.CancelFunc, k)
+		errcs := make([]chan error, k)
+		for i := range pols {
+			pols[i] = &spinPolicy{namedPolicy: namedPolicy{name: fmt.Sprintf("spin-%d-%d", seed, i)},
+				started: make(chan struct{}), fresh: int64(i + 1)}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancels[i], errcs[i] = cancel, make(chan error, 1)
+			cfg := core.Config{Spec: gpu.TitanX(), Custom: pols[i]}
+			go func(errc chan<- error) {
+				_, err := eng.Run(ctx, net, cfg)
+				errc <- err
+			}(errcs[i])
+		}
+		for _, p := range pols {
+			<-p.started
+		}
+
+		subset := rng.Perm(k)[:rng.Intn(k+1)]
+		canceled := make([]bool, k)
+		for _, i := range subset {
+			canceled[i] = true
+			cancels[i]()
+		}
+		for i, p := range pols {
+			if !canceled[i] {
+				p.stop.Store(true)
+			}
+		}
+		for i, errc := range errcs {
+			select {
+			case err := <-errc:
+				if canceled[i] && !errors.Is(err, core.ErrCanceled) {
+					t.Fatalf("seed %d: canceled request %d: err = %v, want core.ErrCanceled", seed, i, err)
+				}
+				if !canceled[i] && err != nil {
+					t.Fatalf("seed %d: surviving request %d: %v", seed, i, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("seed %d: request %d never returned", seed, i)
+			}
+			cancels[i]()
+		}
+		if st := eng.Stats(); st.Canceled != int64(len(subset)) {
+			t.Errorf("seed %d: Canceled = %d, want %d (the canceled subset %v; stats %+v)",
+				seed, st.Canceled, len(subset), subset, st)
+		}
 	}
 }
 

@@ -106,6 +106,10 @@ func structureKey(k key) key {
 // nobody is waiting for stops at the next layer boundary instead of burning
 // a full simulation. One surviving waiter keeps the computation alive for
 // everyone.
+//
+// topLevel marks an entry claimed by a top-level request (one holding a
+// worker slot) rather than by a nested resolution inside another
+// computation; only top-level aborts count toward Stats.Canceled.
 type entry struct {
 	done      chan struct{}
 	res       *core.Result
@@ -113,6 +117,7 @@ type entry struct {
 	structure *core.Structure
 	refs      int
 	cancel    context.CancelFunc
+	topLevel  bool
 }
 
 // Stats counts the engine's cache behavior (test, reporting and /v1/stats
@@ -142,8 +147,11 @@ type Stats struct {
 	// Evictions is the number of completed entries dropped to honor the
 	// cache bound.
 	Evictions int64 `json:"evictions"`
-	// Canceled is the number of computations aborted mid-flight because
-	// every caller waiting on them went away.
+	// Canceled is the number of top-level computations aborted mid-flight
+	// because every caller waiting on them went away. Nested computations —
+	// structure builds and profiling candidates resolved inside an aborted
+	// request — die with it and are not counted again, so each abandoned
+	// request counts once.
 	Canceled int64 `json:"canceled"`
 }
 
@@ -417,7 +425,7 @@ func (e *Engine) claim(sh *shard, k key, ent *entry) bool {
 
 // dropRef releases one caller's interest in an in-flight entry; the last
 // drop cancels the computation's context so abandoned work stops at the next
-// layer boundary.
+// layer boundary, and counts the abort when the computation is top-level.
 func (e *Engine) dropRef(sh *shard, ent *entry) {
 	sh.mu.Lock()
 	ent.refs--
@@ -427,7 +435,9 @@ func (e *Engine) dropRef(sh *shard, ent *entry) {
 		case <-ent.done:
 			last = false // already finished; nothing to abort
 		default:
-			e.stats.canceled.Add(1)
+			if ent.topLevel {
+				e.stats.canceled.Add(1)
+			}
 		}
 	}
 	sh.mu.Unlock()
@@ -540,7 +550,7 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 		}
 
 		runCtx, runCancel := context.WithCancel(context.Background())
-		ent := &entry{done: make(chan struct{}), refs: 1, cancel: runCancel}
+		ent := &entry{done: make(chan struct{}), refs: 1, cancel: runCancel, topLevel: topLevel}
 		if !e.claim(sh, k, ent) {
 			// Another caller claimed the key while we waited for the slot;
 			// release it and coalesce onto theirs.
