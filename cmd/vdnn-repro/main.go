@@ -21,7 +21,7 @@
 // power, ablation-prefetch, ablation-pagemig, ablation-link,
 // ablation-capacity, ablation-weights, ablation-batch, case-multigpu,
 // case-contention, case-pipeline, case-compression, case-precision,
-// case-devices, case-resnet.
+// case-devices, case-resnet, case-plan, case-energy.
 package main
 
 import (
@@ -111,9 +111,9 @@ func main() {
 		}
 	}
 
-	// Per-experiment wall clock, to stderr: stdout carries only the figure
-	// tables, which are byte-identical at any -j — timing and cache stats
-	// are scheduling-dependent diagnostics.
+	// Prime-batch and per-experiment formatting time, to stderr: stdout
+	// carries only the figure tables, which are byte-identical at any -j —
+	// timing and cache stats are scheduling-dependent diagnostics.
 	if !*csv {
 		suite.Timings().Render(os.Stderr)
 	}

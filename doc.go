@@ -254,7 +254,9 @@
 // end-to-end reduction on a capacity sweep, and exact: a priced Result is
 // deeply equal to the full simulation's, untrainable points included). A
 // configuration's first sweep point doubles as its structure build, so the
-// mechanism costs nothing when nothing is shared. Shapes whose simulation
+// mechanism costs nothing when nothing is shared; the structure is an
+// ordinary engine cache entry, built by whichever request claims it first
+// and coalesced onto by the rest. Shapes whose simulation
 // does depend on capacity — vDNN-dyn, greedy algorithm selection, custom
 // policies, multi-device and pipeline runs — automatically take the full
 // path; WithFullSimulation disables the mechanism entirely (the

@@ -16,9 +16,10 @@ import (
 // decisions, conv algorithm finds, and the whole simulated timeline — because
 // capacity feeds back into a static single-device simulation in exactly two
 // ways: through allocation failure, and through LargestFree (greedy algorithm
-// selection only). BuildStructure therefore runs the configuration once on an
-// oracle-sized pool while recording the allocator call sequence
-// (memalloc.Trace); Price then evaluates the same configuration at any real
+// selection only). BuildStructureAt therefore runs the configuration once —
+// at its own capacity when it trains there, on an oracle-sized pool
+// otherwise — while recording the allocator call sequence (memalloc.Trace);
+// Price then evaluates the same configuration at any real
 // capacity by replaying that trace — a pure allocator exercise, no
 // re-simulation — and reuses the structure's Result wholesale when the replay
 // succeeds. The replay's first failure is byte-for-byte the failure a full
@@ -76,37 +77,6 @@ type Structure struct {
 
 // TraceLen returns the recorded allocator call count (diagnostics).
 func (s *Structure) TraceLen() int { return s.trace.Len() }
-
-// BuildStructure simulates cfg on an oracle-sized pool, recording the
-// allocator trace. cfg must be structure-shaped and valid; its Oracle flag is
-// ignored (the build always runs at oracle capacity).
-func BuildStructure(ctx context.Context, net *dnn.Network, cfg Config) (*Structure, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
-		return nil, canceled(ctx)
-	}
-	cfg = cfg.WithDefaults()
-	cfg.Oracle = true
-	pol, err := validateConfig(net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if !StructureShaped(cfg) {
-		return nil, fmt.Errorf("core: policy %q is not structure-shaped", pol.Name())
-	}
-	plan, err := buildPlan(net, cfg, pol)
-	if err != nil {
-		return nil, err
-	}
-	tr := &memalloc.Trace{}
-	res, err := execute(withAllocTrace(ctx, tr), net, cfg, pol, plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Structure{Res: res, trace: tr}, nil
-}
 
 // Price evaluates cfg — the structure's configuration at a real device
 // capacity — by replaying the recorded allocator trace. The bool reports
@@ -166,11 +136,12 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 // trainable point the structure comes free with the first sweep point
 // instead of costing a separate oracle run, because the simulation of a
 // structure-shaped configuration is identical at every capacity it trains
-// under. When the point is untrainable at its capacity the failure cuts the
-// trace short, so the structure is built at oracle capacity instead —
-// exactly the hypothetical-demand rerun runStatic would pay anyway — and
-// the Result is the same untrainable report runStatic produces. cfg must be
-// structure-shaped and valid, with Oracle unset.
+// under. An Oracle configuration builds at oracle capacity. When the point
+// is untrainable at its capacity the failure cuts the trace short, so the
+// structure is built at oracle capacity instead — exactly the
+// hypothetical-demand rerun runStatic would pay anyway — and the Result is
+// the same untrainable report runStatic produces. cfg must be
+// structure-shaped and valid.
 func BuildStructureAt(ctx context.Context, net *dnn.Network, cfg Config) (*Structure, *Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -183,8 +154,8 @@ func BuildStructureAt(ctx context.Context, net *dnn.Network, cfg Config) (*Struc
 	if err != nil {
 		return nil, nil, err
 	}
-	if !StructureShaped(cfg) || cfg.Oracle {
-		return nil, nil, fmt.Errorf("core: policy %q is not structure-shaped at a real capacity", pol.Name())
+	if !StructureShaped(cfg) {
+		return nil, nil, fmt.Errorf("core: policy %q is not structure-shaped", pol.Name())
 	}
 	plan, err := buildPlan(net, cfg, pol)
 	if err != nil {
@@ -197,10 +168,12 @@ func BuildStructureAt(ctx context.Context, net *dnn.Network, cfg Config) (*Struc
 		oracle.Oracle = true
 		return &Structure{Res: &oracle, trace: tr}, res, nil
 	}
-	if errors.Is(runErr, ErrCanceled) {
+	if cfg.Oracle || errors.Is(runErr, ErrCanceled) {
 		return nil, nil, runErr
 	}
-	st, err := BuildStructure(ctx, net, cfg)
+	oracleCfg := cfg
+	oracleCfg.Oracle = true
+	st, _, err := BuildStructureAt(ctx, net, oracleCfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -370,3 +370,34 @@ func TestWithDTypeScalesBytes(t *testing.T) {
 		t.Fatal("WithDType mutated the original")
 	}
 }
+
+// TestFingerprintMemoPurged checks that the fingerprint lives in the
+// per-network memo: it is served from there, it tells batches apart, and
+// PurgeDerived drops it with the network's other analyses instead of
+// pinning the graph.
+func TestFingerprintMemoPurged(t *testing.T) {
+	n := linearNet(t, 4)
+	fp := Fingerprint(n)
+	if fp == "" || fp != Fingerprint(linearNet(t, 4)) {
+		t.Fatalf("equal graphs must share a non-empty fingerprint")
+	}
+	if fp == Fingerprint(linearNet(t, 8)) {
+		t.Errorf("a different batch must change the fingerprint")
+	}
+	derivedMu.Lock()
+	memo := derivedMemo[n]
+	derivedMu.Unlock()
+	if memo == nil || memo.fingerprint != fp {
+		t.Fatalf("fingerprint not held in the network's derived memo")
+	}
+	PurgeDerived(n)
+	derivedMu.Lock()
+	_, held := derivedMemo[n]
+	derivedMu.Unlock()
+	if held {
+		t.Errorf("PurgeDerived left the network's memo (and its fingerprint) behind")
+	}
+	if Fingerprint(n) != fp {
+		t.Errorf("fingerprint recomputed after purge differs")
+	}
+}

@@ -41,7 +41,7 @@ func (s *Server) newMetricsRegistry() *metrics.Registry {
 		eng(func(st vdnn.EngineStats) int64 { return st.Simulations }))
 	cf("vdnn_engine_structures_total", "Capacity-independent structure builds recorded for differential re-pricing.",
 		eng(func(st vdnn.EngineStats) int64 { return st.Structures }))
-	cf("vdnn_engine_priced_total", "Results produced by replaying a structure instead of simulating.",
+	cf("vdnn_engine_priced_total", "Results served from a structure another request built, instead of simulating.",
 		eng(func(st vdnn.EngineStats) int64 { return st.Priced }))
 	cf("vdnn_engine_cache_hits_total", "Requests served from a completed cache entry.",
 		eng(func(st vdnn.EngineStats) int64 { return st.Hits }))

@@ -39,7 +39,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -183,11 +182,6 @@ func (s *Store) Stats() Stats {
 
 // --- keys -------------------------------------------------------------------
 
-// fingerprints memoizes the structural fingerprint per *dnn.Network.
-// Networks are immutable once built and the simulator's network cache hands
-// out shared pointers, so identity is a sound memo key.
-var fingerprints sync.Map // *dnn.Network -> string
-
 // Key returns the store key for simulating net under cfg, or ok=false if
 // the configuration cannot be addressed persistently (custom policies: a
 // policy object's decisions are not recoverable from its name by another
@@ -198,38 +192,16 @@ func Key(net *dnn.Network, cfg core.Config) (string, bool) {
 	if cfg.Custom != nil {
 		return "", false
 	}
-	fp, ok := fingerprints.Load(net)
-	if !ok {
-		fp, _ = fingerprints.LoadOrStore(net, fingerprint(net))
-	}
 	cfgJSON, err := json.Marshal(cfg.WithDefaults())
 	if err != nil {
 		return "", false
 	}
 	h := sha256.New()
 	io.WriteString(h, keyDomain)
-	io.WriteString(h, fp.(string))
+	io.WriteString(h, dnn.Fingerprint(net))
 	h.Write([]byte{0})
 	h.Write(cfgJSON)
 	return hex.EncodeToString(h.Sum(nil)), true
-}
-
-// fingerprint serializes the structural identity of a network: name, batch,
-// element type, and per-layer kind/geometry/connectivity. Two networks with
-// equal fingerprints produce identical simulation results under any Config.
-func fingerprint(n *dnn.Network) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%d|%d\n", n.Name, n.Batch, int(n.DType), len(n.Layers))
-	for _, l := range n.Layers {
-		fmt.Fprintf(&b, "%d|%s|%d|%d|%t|%d|%v|",
-			l.ID, l.Name, int(l.Kind), int(l.Stage), l.InPlace, l.Output.ID, l.Output.Shape)
-		for _, in := range l.Inputs {
-			fmt.Fprintf(&b, "%d,", in.ID)
-		}
-		// Spec pointers print as &{...} or <nil>; both are deterministic.
-		fmt.Fprintf(&b, "|%v|%v|%v|%v|%v\n", l.Conv, l.Pool, l.LRN, l.FC, l.Dropout)
-	}
-	return b.String()
 }
 
 // --- read path --------------------------------------------------------------

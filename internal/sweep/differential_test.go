@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"vdnn/internal/compress"
 	"vdnn/internal/core"
+	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
 	"vdnn/internal/networks"
 )
@@ -251,5 +253,127 @@ func TestShardedCacheStress(t *testing.T) {
 	}
 	if st.Canceled != 0 {
 		t.Errorf("canceled = %d, want 0 (stats %+v)", st.Canceled, st)
+	}
+}
+
+// TestPricedCountsOnlyStructureServedResults pins what Stats.Priced counts:
+// an oracle request that builds its configuration's structure is a structure
+// build, not a priced result, and a later oracle request of the same
+// configuration at another capacity is served from that structure — priced.
+func TestPricedCountsOnlyStructureServedResults(t *testing.T) {
+	net := networks.AlexNet(128)
+	eng := NewEngine(1)
+	for i, c := range []struct {
+		memBytes                   int64
+		wantStructures, wantPriced int64
+	}{
+		{2 << 30, 1, 0},
+		{4 << 30, 1, 1},
+	} {
+		cfg := core.Config{Spec: gpu.TitanX().WithMemory(c.memBytes), Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true}
+		got, err := eng.Run(context.Background(), net, cfg)
+		if err != nil {
+			t.Fatalf("oracle request %d: %v", i, err)
+		}
+		want, err := core.Run(net, cfg)
+		if err != nil {
+			t.Fatalf("core.Run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("oracle request %d differs from full simulation", i)
+		}
+		if st := eng.Stats(); st.Structures != c.wantStructures || st.Priced != c.wantPriced {
+			t.Errorf("after oracle request %d: structures %d, priced %d; want %d, %d (stats %+v)",
+				i, st.Structures, st.Priced, c.wantStructures, c.wantPriced, st)
+		}
+	}
+}
+
+// TestDifferentialRandomConfigs widens the equivalence guarantee beyond the
+// hand-picked grids: seeded random sweeps over network, batch, policy,
+// algorithm, codec and device/stage shape, each column swept over random
+// capacities — oracle requests, the sentinel capacity, untrainable
+// capacities and repeated keys among them — must come out of the production
+// engine at parallelism > 1 reflect.DeepEqual to the full-simulation
+// reference.
+func TestDifferentialRandomConfigs(t *testing.T) {
+	nets := []*dnn.Network{
+		networks.AlexNet(32), networks.AlexNet(128), networks.GoogLeNet(32),
+		networks.VGG16(32), networks.ResNet50(16),
+	}
+	caps := []int64{256 << 20, 1 << 30, 2 << 30, 3 << 30, 4 << 30, 8 << 30, 12 << 30, oracleMemSentinel}
+	policies := []core.Policy{core.Baseline, core.VDNNAll, core.VDNNConv, core.VDNNDyn}
+	algos := []core.AlgoMode{core.MemOptimal, core.PerfOptimal, core.GreedyAlgo}
+	codecs := []compress.Codec{compress.CodecNone, compress.CodecZVC, compress.CodecRLE}
+	// Devices × stages; single-device shapes dominate, because only they
+	// take the differential path.
+	shapes := [][2]int{{1, 1}, {1, 1}, {1, 1}, {2, 1}, {1, 2}}
+
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Draw sweep columns in pairs that differ in one dimension, so keys
+		// that must not share a structure sit side by side, then sweep
+		// points over them, so capacities of one column share a structure
+		// the way figure sweeps do.
+		vary := func(j *Job, dim int) {
+			switch dim {
+			case 0:
+				j.Net = nets[rng.Intn(len(nets))]
+			case 1:
+				j.Cfg.Policy = policies[rng.Intn(len(policies))]
+			case 2:
+				j.Cfg.Algo = algos[rng.Intn(len(algos))]
+			case 3:
+				j.Cfg.Compression.Codec = codecs[rng.Intn(len(codecs))]
+			case 4:
+				shape := shapes[rng.Intn(len(shapes))]
+				j.Cfg.Devices, j.Cfg.Stages = shape[0], shape[1]
+			}
+		}
+		columns := make([]Job, 12)
+		for i := range columns {
+			if i%2 == 1 {
+				columns[i] = columns[i-1]
+				vary(&columns[i], rng.Intn(5))
+				continue
+			}
+			columns[i].Cfg.Spec = gpu.TitanX()
+			for dim := 0; dim < 5; dim++ {
+				vary(&columns[i], dim)
+			}
+		}
+		var jobs []Job
+		for len(jobs) < 60 {
+			if len(jobs) > 0 && rng.Intn(8) == 0 {
+				jobs = append(jobs, jobs[rng.Intn(len(jobs))])
+				continue
+			}
+			j := columns[rng.Intn(len(columns))]
+			j.Cfg.Spec = j.Cfg.Spec.WithMemory(caps[rng.Intn(len(caps))])
+			j.Cfg.Oracle = rng.Intn(4) == 0
+			jobs = append(jobs, j)
+		}
+
+		ref := NewEngine(2)
+		ref.SetFullSimulation(true)
+		want, err := ref.RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatalf("seed %d: reference RunAll: %v", seed, err)
+		}
+		eng := NewEngine(4)
+		got, err := eng.RunAll(context.Background(), jobs)
+		if err != nil {
+			t.Fatalf("seed %d: RunAll: %v", seed, err)
+		}
+		for i, j := range jobs {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("seed %d job %d (%s, %v %v, codec %v, %d×%d, %d MiB, oracle %t): differential result differs from full simulation",
+					seed, i, j.Net.Name, j.Cfg.Policy, j.Cfg.Algo, j.Cfg.Compression.Codec,
+					j.Cfg.Devices, j.Cfg.Stages, j.Cfg.Spec.MemBytes>>20, j.Cfg.Oracle)
+			}
+		}
+		if st := eng.Stats(); st.Structures == 0 || st.Priced == 0 {
+			t.Errorf("seed %d: the differential path went unexercised (stats %+v)", seed, st)
+		}
 	}
 }

@@ -14,9 +14,13 @@
 //   - context-aware scheduling: callers abandon waits on cancellation, and a
 //     batch stops dispatching new simulations once its context is done, and
 //   - differential evaluation: sweep points that share a capacity-independent
-//     structure (core.StructureShaped) are simulated once at oracle capacity
-//     and re-priced at each real capacity by replaying the recorded allocator
-//     trace — the same Results, a fraction of the work.
+//     structure (core.StructureShaped) are simulated once — the first point
+//     to ask builds the structure at its own capacity — and every other
+//     capacity is re-priced by replaying the recorded allocator trace: the
+//     same Results, a fraction of the work. The structure is an ordinary
+//     cache entry under a capacity-free key, resolved nested inside the
+//     requesting computation, so it shares the one entry lifecycle
+//     (claim, coalesce, cancel, uncache on error) with every other key.
 //
 // The cache is sharded by key hash so concurrent hits on distinct keys do not
 // contend on one mutex; eviction bookkeeping stays global (FIFO order across
@@ -134,9 +138,11 @@ type Stats struct {
 	// oracle-capacity builds when that first point is untrainable or the
 	// request itself is an oracle run).
 	Structures int64 `json:"structures"`
-	// Priced is the number of results produced by replaying a structure's
-	// allocator trace instead of running a full simulation — the work the
-	// differential path avoided.
+	// Priced is the number of results served from a structure built by
+	// another request — a replay of its allocator trace, or a clone of its
+	// Result for an oracle request — instead of a full simulation: the work
+	// the differential path avoided. The request that builds a structure
+	// counts under Structures only, whether it is an oracle request or not.
 	Priced int64 `json:"priced"`
 	// Hits is the number of requests served from a completed cache entry.
 	Hits int64 `json:"hits"`
@@ -483,18 +489,24 @@ func (e *Engine) Run(ctx context.Context, net *dnn.Network, cfg core.Config) (*c
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, _, err := e.resolve(ctx, net, cfg.Custom, keyOf(net, cfg), true)
+	res, _, err := e.resolve(ctx, net, cfg.Custom, keyOf(net, cfg), true, e.compute)
 	return res, err
 }
 
+// computation produces the value of one cache entry: the Result, plus the
+// Structure when the entry is a structure key. cfg is k.cfg with the
+// caller's Custom policy instance restored.
+type computation func(runCtx context.Context, net *dnn.Network, cfg core.Config, k key) (*core.Result, *core.Structure, error)
+
 // resolve serves one key from the cache, coalescing onto an in-flight
-// computation or claiming and computing the entry itself. It is the single
-// code path behind top-level requests (topLevel: holds a worker slot, fires
-// the chaos hook, counts toward Stats.Simulations) and nested resolutions —
-// structure fetches and profiling-candidate simulations issued from inside a
-// computation, which run under their initiator's slot and report
-// cancellation as core.ErrCanceled the way an in-process candidate would.
-func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.OffloadPolicy, k key, topLevel bool) (*core.Result, *core.Structure, error) {
+// computation or claiming the entry and running compute for it. It is the
+// single entry lifecycle behind top-level requests (topLevel: holds a worker
+// slot, fires the chaos hook, counts toward Stats.Simulations) and nested
+// resolutions — structure builds and profiling-candidate simulations issued
+// from inside a computation, which run under their initiator's slot and
+// report cancellation as core.ErrCanceled the way an in-process candidate
+// would.
+func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.OffloadPolicy, k key, topLevel bool, compute computation) (*core.Result, *core.Structure, error) {
 	if ctx.Err() != nil {
 		if topLevel {
 			return nil, nil, ctx.Err()
@@ -611,7 +623,7 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 					}
 				}
 			}
-			e.compute(runCtx, net, runCfg, k, ent)
+			ent.res, ent.structure, ent.err = compute(runCtx, net, runCfg, k)
 			if persistable && ent.err == nil && ent.res != nil {
 				e.store.Save(net, runCfg, ent.res)
 			}
@@ -628,127 +640,66 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 	}
 }
 
-// compute fills ent for key k: via the differential structure/pricing split
-// when the configuration is eligible, via a full simulation otherwise. cfg
-// is k.cfg with the caller's Custom policy instance restored.
-func (e *Engine) compute(runCtx context.Context, net *dnn.Network, cfg core.Config, k key, ent *entry) {
-	if !e.fullSim && cfg.Custom == nil && core.StructureShaped(cfg) && core.ValidateRun(net, cfg) == nil {
-		sk := structureKey(k)
-		if sk == k {
-			// The request is itself a structure key: build the structure
-			// here — the entry serves both the oracle Result and the trace
-			// every capacity ablation of this configuration re-prices.
-			st, err := core.BuildStructure(runCtx, net, cfg)
-			if err != nil {
-				ent.err = err
-				return
-			}
-			e.stats.structures.Add(1)
-			ent.structure, ent.res = st, st.Res
-			return
-		} else if !cfg.Oracle {
-			// No structure cached yet? Then this request IS the structure
-			// build: run it at its own capacity with the trace recorded, so
-			// the first sweep point of a configuration costs one simulation
-			// and still leaves the structure behind for its siblings. A
-			// cached or in-flight structure takes the pricing path below
-			// instead, and a lost claim race just means another caller is
-			// building it — coalesce there.
-			sksh := e.shardOf(sk)
-			sksh.mu.Lock()
-			_, building := sksh.cache[sk]
-			sksh.mu.Unlock()
-			if !building {
-				skEnt := &entry{done: make(chan struct{}), refs: 1, cancel: func() {}}
-				if e.claim(sksh, sk, skEnt) {
-					res, err := e.buildStructureAt(runCtx, net, cfg, sksh, sk, skEnt)
-					if err == nil {
-						ent.res = res
-						return
-					}
-					if errors.Is(err, core.ErrCanceled) {
-						ent.err = err
-						return
-					}
-					// Any other failure falls through to the full path: it
-					// reproduces the error (or succeeds if the fault was
-					// transient) — a structure bug must never mask a real
-					// result.
-					ent.res, ent.err = e.runFull(runCtx, net, cfg)
-					return
-				}
-			}
-		}
-		if st, err := e.structureFor(runCtx, net, sk); err != nil && errors.Is(err, core.ErrCanceled) {
-			ent.err = err
-			return
-		} else if err == nil && st != nil {
-			// A structure-build failure for any non-cancellation reason
-			// falls through to the full path instead: it reproduces the
-			// error (or succeeds if the fault was transient) — a structure
-			// bug must never mask a real result.
-			if cfg.Oracle {
-				// The structure's Result is exactly this oracle request's;
-				// clone so a caller patching its copy cannot corrupt the
-				// shared structure.
-				r := *st.Res
-				ent.res = &r
-				e.stats.priced.Add(1)
-				return
-			}
-			res, ok, perr := st.Price(runCtx, net, cfg)
-			if perr != nil {
-				ent.err = perr
-				return
-			}
-			if ok {
-				ent.res = res
-				e.stats.priced.Add(1)
-				return
-			}
-			// Pricing declined (the classifier alone exceeds this capacity):
-			// the full path produces the exact failure chain.
-		}
+// compute is the computation of an ordinary key: the differential
+// structure/pricing split when the configuration is eligible, a full
+// simulation otherwise. The structure is itself a cache entry, resolved
+// nested under structureKey(k); when this request claims it, the build runs
+// at the request's own configuration, so a configuration's first sweep point
+// costs one simulation and still leaves the structure behind for its
+// siblings. Every other request is served from the structure: an oracle
+// request by a clone of its Result, a real capacity by Price.
+func (e *Engine) compute(runCtx context.Context, net *dnn.Network, cfg core.Config, k key) (*core.Result, *core.Structure, error) {
+	if e.fullSim || cfg.Custom != nil || !core.StructureShaped(cfg) || core.ValidateRun(net, cfg) != nil {
+		res, err := e.runFull(runCtx, net, cfg)
+		return res, nil, err
 	}
-	ent.res, ent.err = e.runFull(runCtx, net, cfg)
-}
-
-// structureFor resolves a structure key — nested, under the caller's worker
-// slot.
-func (e *Engine) structureFor(ctx context.Context, net *dnn.Network, sk key) (*core.Structure, error) {
-	_, st, err := e.resolve(ctx, net, nil, sk, false)
-	return st, err
-}
-
-// buildStructureAt runs core.BuildStructureAt for cfg and finalizes the
-// claimed sk entry on every path — a panic must still close the entry (then
-// propagate to resolve's recovery for the requesting key), or every sibling
-// coalesced onto the structure would hang forever. The caller holds the
-// entry's initiating reference, so its cancel hook can be a no-op: the
-// build runs under the requesting key's runCtx and dies with it.
-func (e *Engine) buildStructureAt(runCtx context.Context, net *dnn.Network, cfg core.Config, sksh *shard, sk key, skEnt *entry) (res *core.Result, err error) {
-	var st *core.Structure
-	defer func() {
-		if r := recover(); r != nil {
-			skEnt.err = fmt.Errorf("sweep: simulation panic: %v", r)
-			close(skEnt.done)
-			e.uncache(sksh, sk, skEnt)
-			panic(r)
+	var own *core.Result // the builder's own Result, when this request built the structure
+	build := func(runCtx context.Context, net *dnn.Network, _ core.Config, _ key) (*core.Result, *core.Structure, error) {
+		st, res, err := core.BuildStructureAt(runCtx, net, cfg)
+		if err != nil {
+			return nil, nil, err
 		}
-		skEnt.structure, skEnt.err = st, err
-		if st != nil {
-			skEnt.res = st.Res
-		}
-		close(skEnt.done)
-		if skEnt.err != nil {
-			e.uncache(sksh, sk, skEnt)
-		}
-	}()
-	st, res, err = core.BuildStructureAt(runCtx, net, cfg)
-	if err == nil {
 		e.stats.structures.Add(1)
+		own = res
+		return st.Res, st, nil
 	}
-	return res, err
+	sk := structureKey(k)
+	if sk == k {
+		// An oracle request at the sentinel capacity is its own structure
+		// key, already claimed by this computation: a nested resolve would
+		// wait on itself.
+		return build(runCtx, net, cfg, k)
+	}
+	_, st, err := e.resolve(runCtx, net, nil, sk, false, build)
+	switch {
+	case own != nil:
+		return own, nil, nil
+	case errors.Is(err, core.ErrCanceled):
+		return nil, nil, err
+	case err == nil && cfg.Oracle:
+		// The structure's Result is exactly this oracle request's; clone so
+		// a caller patching its copy cannot corrupt the shared structure.
+		r := *st.Res
+		e.stats.priced.Add(1)
+		return &r, nil, nil
+	case err == nil:
+		res, ok, perr := st.Price(runCtx, net, cfg)
+		if perr != nil {
+			return nil, nil, perr
+		}
+		if ok {
+			e.stats.priced.Add(1)
+			return res, nil, nil
+		}
+		// Pricing declined (the classifier alone exceeds this capacity):
+		// the full path produces the exact failure chain.
+	}
+	// A structure-build failure for any non-cancellation reason falls
+	// through to the full path too: it reproduces the error (or succeeds if
+	// the fault was transient) — a structure bug must never mask a real
+	// result.
+	res, err := e.runFull(runCtx, net, cfg)
+	return res, nil, err
 }
 
 // runFull runs the complete simulation for cfg, routing a profiling policy's
@@ -762,7 +713,7 @@ func (e *Engine) runFull(runCtx context.Context, net *dnn.Network, cfg core.Conf
 		return core.RunContext(runCtx, net, cfg)
 	}
 	return core.RunContextWith(runCtx, net, cfg, func(sub core.Config) (*core.Result, error) {
-		res, _, err := e.resolve(runCtx, net, sub.Custom, keyOf(net, sub), false)
+		res, _, err := e.resolve(runCtx, net, sub.Custom, keyOf(net, sub), false, e.compute)
 		return res, err
 	})
 }
@@ -815,6 +766,11 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*core.Result, error)
 		workers = len(unique)
 	}
 	if workers <= 1 {
+		// Stay off the goroutine pool: at parallelism 1, handing each job to
+		// a single worker over a channel raised the capacity-sweep
+		// benchmark's CPU time per op by 17–20% (both orders of two
+		// alternating runs), most likely from scheduler spinning on the
+		// hand-off.
 		for _, i := range unique {
 			results[i], errs[i] = e.Run(ctx, jobs[i].Net, jobs[i].Cfg)
 		}
