@@ -10,7 +10,10 @@
 // -points points to POST /v1/jobs, require the 202, stream the NDJSON result
 // feed from GET /v1/jobs/{id}, and count the request successful only when
 // every point arrives in order with a result and the summary says done.
-// Latency then measures submit-to-summary, queueing included.
+// A job holds an admission queue position until it finishes, so a
+// saturated daemon answers submissions 503 "overloaded" and they are
+// retried like any other request. Latency then measures submit-to-summary,
+// queueing included.
 //
 //	vdnn-bench-serve -addr http://localhost:8080 -n 200 -c 16 -network alexnet
 //	vdnn-bench-serve -addr http://localhost:8080 -n 20 -c 4 -endpoint plan

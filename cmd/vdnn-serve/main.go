@@ -20,6 +20,11 @@
 // tolerates torn writes — corrupt records are skipped and logged at open,
 // never fatal.
 //
+// An async job (POST /v1/jobs) is admitted like any request: it holds one
+// of the -queue positions from submission until it finishes and executes in
+// one of the -j slots, its points running in parallel as a /v1/sweep's do.
+// A submission past a full queue is a 503 "overloaded", safe to retry.
+//
 // Repeated and concurrent identical requests are simulated once; every
 // simulation is deterministic, so identical requests always produce
 // identical responses. See internal/serve for the wire formats, error
@@ -65,8 +70,6 @@ func main() {
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-drain budget before in-flight work is canceled")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
 		storeDir = flag.String("store", "", "persist results to this directory and serve repeats from it (empty = memory only)")
-		jWorkers = flag.Int("job-workers", 0, "async jobs executing concurrently (0 = half of -j, at least 1)")
-		jQueue   = flag.Int("job-queue", -1, "accepted jobs waiting for a worker before 503 (-1 = 16)")
 		logJSON  = flag.Bool("log-json", false, "emit structured request logs as JSON (default: logfmt-style text)")
 	)
 	flag.Parse()
@@ -93,8 +96,6 @@ func main() {
 	serveOpts := []serve.Option{
 		serve.WithQueueDepth(*queue),
 		serve.WithDeadlines(*deadline, *maxDL),
-		serve.WithJobWorkers(*jWorkers),
-		serve.WithJobQueueDepth(*jQueue),
 		serve.WithLogger(logger),
 	}
 	if *storeDir != "" {
@@ -131,7 +132,7 @@ func main() {
 		go func() {
 			<-sigs
 			log.Printf("vdnn-serve: second signal: canceling in-flight work")
-			api.CancelJobs()
+			api.Close()
 			cancelBase()
 		}()
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -140,13 +141,13 @@ func main() {
 		// under the same budget before (or while) connections wind down.
 		if err := api.DrainJobs(ctx); err != nil {
 			log.Printf("vdnn-serve: drain budget exhausted: canceling async jobs (%v)", err)
-			api.CancelJobs()
+			api.Close()
 		}
 		if err := srv.Shutdown(ctx); err != nil {
 			// Budget exhausted: cancel the base context so every in-flight
 			// simulation unwinds through its per-layer checks, then close.
 			log.Printf("vdnn-serve: drain budget exhausted: canceling in-flight work (%v)", err)
-			api.CancelJobs()
+			api.Close()
 			cancelBase()
 			srv.Close()
 		}

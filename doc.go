@@ -220,18 +220,18 @@
 // internal/injected (500), overloaded/draining (503, with Retry-After).
 //
 // Async jobs run a sweep without holding the connection: POST /v1/jobs
-// answers 202 with a job id before anything runs, a bounded worker pool
-// executes each job's points in order through the same admission slots
-// synchronous requests use, GET /v1/jobs/{id} streams each point's result
-// as NDJSON the moment it finishes (a finished job replays instantly), and
-// DELETE cancels. GET /metrics exposes a dependency-free Prometheus text
-// exposition — engine, store, job-queue and HTTP latency series, computed
-// at scrape time from the same counters GET /v1/stats reports — and every
-// request is logged as one structured log/slog record carrying the
-// X-Request-Id the response returns. cmd/vdnn-bench-serve load-tests a
-// live daemon with retrying clients (-endpoint jobs drives the async
-// round trip end to end), and internal/chaos provides the seeded
-// fault-injection harness the robustness tests run on.
+// answers 202 with a job id before anything runs, the job waits in the
+// admission queue synchronous requests use and runs its points in parallel
+// exactly as POST /v1/sweep does, GET /v1/jobs/{id} streams each point's
+// result as NDJSON the moment it finishes (a finished job replays instantly),
+// and DELETE cancels. GET /metrics exposes a dependency-free Prometheus text
+// exposition — engine, store, job, admission and HTTP latency series,
+// computed at scrape time from the same counters GET /v1/stats reports — and
+// every request is logged as one structured log/slog record carrying the
+// X-Request-Id the response returns. cmd/vdnn-bench-serve load-tests a live
+// daemon with retrying clients (-endpoint jobs drives the async round trip
+// end to end), and internal/chaos provides the seeded fault-injection harness
+// the robustness tests run on.
 //
 // # Reproduction harness
 //

@@ -14,24 +14,23 @@ import (
 	"vdnn"
 )
 
-// The async job layer: a sweep submitted to POST /v1/jobs is accepted with
-// 202 + an id, executed by a bounded pool of job workers, and its points
-// stream back incrementally from GET /v1/jobs/{id} as NDJSON. Jobs share
-// the server's execution budget with synchronous requests — a running job
-// holds one admission slot while it simulates — and obey the same drain
-// contract: draining rejects new submissions (503 "draining") but finishes
-// every job already accepted. DELETE /v1/jobs/{id} cancels a job through
-// the engine's ref-counted cancellation: queued points are skipped,
-// the in-flight simulation stops at its next per-layer check (unless a
-// coalesced synchronous request still wants it).
+// The job layer: a sweep is a job, and runJob is the one path that runs its
+// points — through the engine's batch dispatch, in parallel, each point
+// published the moment it finishes. POST /v1/sweep runs a job inline under
+// its own admission slot and deadline. POST /v1/jobs takes the same
+// admission step as any request (drain check, then a bounded queue
+// position, held until the job finishes), answers 202 with an id, and waits
+// for an execution slot in a goroutine; its points stream back from GET
+// /v1/jobs/{id} as NDJSON, in job order. Draining rejects new submissions
+// (503 "draining") but finishes every job already accepted. DELETE
+// /v1/jobs/{id} cancels a job through the engine's ref-counted
+// cancellation: undispatched points are skipped, in-flight simulations stop
+// at their next per-layer check (unless a coalesced synchronous request
+// still wants them).
 
-const (
-	// defaultJobQueueDepth bounds accepted-but-not-started jobs.
-	defaultJobQueueDepth = 16
-	// maxRetainedJobs bounds the finished-job history kept for late GETs;
-	// the oldest finished jobs are pruned first, at submission time.
-	maxRetainedJobs = 256
-)
+// maxRetainedJobs bounds the finished-job history kept for late GETs; the
+// oldest finished jobs are pruned first, at submission time.
+const maxRetainedJobs = 256
 
 // JobStatus is the lifecycle of an async job.
 type JobStatus string
@@ -82,18 +81,15 @@ type JobSummary struct {
 // JobStats counts the job subsystem; exposed under "jobs" on GET /v1/stats
 // and as vdnn_jobs_* on /metrics.
 type JobStats struct {
-	// Workers is the configured job-worker count.
-	Workers int `json:"workers"`
-	// QueueDepth is the number of accepted jobs waiting for a worker — a
-	// gauge.
+	// QueueDepth is the number of accepted jobs waiting for an execution
+	// slot — a gauge.
 	QueueDepth int64 `json:"queue_depth"`
 	// Running is the number of jobs currently executing — a gauge.
 	Running int64 `json:"running"`
-	// Submitted counts accepted jobs; Rejected counts submissions refused
-	// for a full job queue (503 "overloaded"). Draining-time rejections are
-	// counted in ServeStats.RejectedDraining alongside synchronous ones.
+	// Submitted counts accepted jobs. Refused submissions are counted in
+	// ServeStats (RejectedOverload, RejectedDraining) alongside synchronous
+	// ones.
 	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
 	// Completed counts jobs that ran to the end of their point list;
 	// Canceled counts jobs finalized after their context was canceled.
 	Completed int64 `json:"completed"`
@@ -106,35 +102,53 @@ type JobStats struct {
 	Retained int `json:"retained"`
 }
 
-// jobPoint is one sweep point's slot: the runner fills resp/errMsg/code and
-// then closes done; streamers read only after done is closed.
+// Point outcomes, indexing the per-job and per-runner tallies.
+const (
+	pointCompleted = iota
+	pointFailed
+	pointCanceled
+)
+
+// jobPoint is one sweep point's slot: runJob fills resp or err/code and then
+// closes done; readers look only after done is closed.
 type jobPoint struct {
-	done   chan struct{}
-	resp   *SimResponse
-	errMsg string
-	code   string
+	done chan struct{}
+	resp *SimResponse
+	err  error
+	code string
 }
 
-// job is one accepted sweep.
+// outcome classifies a finished point for the tallies.
+func (p *jobPoint) outcome() int {
+	switch p.code {
+	case "":
+		return pointCompleted
+	case "canceled", "deadline":
+		return pointCanceled
+	}
+	return pointFailed
+}
+
+// job is one sweep: its resolved points and one published slot per point.
+// runner is set on a submitted job (POST /v1/jobs) and nil on a synchronous
+// sweep, which has no id, status or lifecycle beyond its request.
 type job struct {
 	id        string
 	submitted time.Time
+	runner    *jobRunner
 
 	reqs  []SimRequest
 	batch []vdnn.BatchJob
 
-	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelFunc // cancels the submitted job's context
 
 	points []jobPoint
 	doneCh chan struct{} // closed at finalization, after the last point
 
-	mu        sync.Mutex
-	status    JobStatus
-	finished  time.Time
-	completed int
-	failed    int
-	canceled  int
+	mu       sync.Mutex
+	status   JobStatus
+	finished time.Time
+	tally    [3]int // points per outcome
 }
 
 func (j *job) summary() JobSummary {
@@ -149,24 +163,49 @@ func (j *job) summary() JobSummary {
 		ID:        j.id,
 		Status:    j.status,
 		Points:    len(j.points),
-		Completed: j.completed,
-		Failed:    j.failed,
-		Canceled:  j.canceled,
+		Completed: j.tally[pointCompleted],
+		Failed:    j.tally[pointFailed],
+		Canceled:  j.tally[pointCanceled],
 		ElapsedMS: float64(end.Sub(j.submitted)) / float64(time.Millisecond),
 	}
 }
 
-// jobRunner owns the worker pool, the pending queue and the job registry.
+// runJob runs every point of j through the engine's batch dispatch — in
+// parallel up to the simulator's parallelism, duplicates folded, no new
+// simulation dispatched once ctx is done — and publishes each point as it
+// finishes. It is the one execution path of both sweep routes.
+func (s *Server) runJob(ctx context.Context, j *job) {
+	s.sim.RunEach(ctx, j.batch, func(i int, res *vdnn.Result, err error) {
+		p := &j.points[i]
+		if err == nil {
+			var out SimResponse
+			if out, err = response(j.reqs[i], res); err == nil {
+				p.resp = &out
+			}
+		}
+		if err != nil {
+			p.err = err
+			_, p.code = simErrorStatus(err)
+		}
+		o := p.outcome()
+		j.mu.Lock()
+		j.tally[o]++
+		j.mu.Unlock()
+		if j.runner != nil {
+			j.runner.points[o].Add(1)
+		}
+		close(p.done)
+	})
+}
+
+// jobRunner is the registry of submitted jobs and their counters.
 type jobRunner struct {
 	s          *Server
-	workers    int
 	root       context.Context
 	cancelRoot context.CancelFunc
-	pending    chan *job
 
 	mu         sync.Mutex
 	cond       *sync.Cond // broadcast when unfinished decrements
-	closed     bool
 	unfinished int
 	byID       map[string]*job
 	order      []string // insertion order, for retention pruning
@@ -174,37 +213,26 @@ type jobRunner struct {
 	idPrefix string
 	idSeq    atomic.Int64
 
-	queued          atomic.Int64
-	running         atomic.Int64
-	submitted       atomic.Int64
-	rejected        atomic.Int64
-	completed       atomic.Int64
-	canceled        atomic.Int64
-	pointsCompleted atomic.Int64
-	pointsFailed    atomic.Int64
-	pointsCanceled  atomic.Int64
+	queued    atomic.Int64
+	running   atomic.Int64
+	submitted atomic.Int64
+	completed atomic.Int64
+	canceled  atomic.Int64
+	points    [3]atomic.Int64 // points per outcome
 }
 
-func newJobRunner(s *Server, workers, queueDepth int) *jobRunner {
+func newJobRunner(s *Server) *jobRunner {
 	var pfx [4]byte
 	_, _ = rand.Read(pfx[:])
 	root, cancel := context.WithCancel(context.Background())
 	jr := &jobRunner{
 		s:          s,
-		workers:    workers,
 		root:       root,
 		cancelRoot: cancel,
-		pending:    make(chan *job, queueDepth),
 		byID:       make(map[string]*job),
 		idPrefix:   hex.EncodeToString(pfx[:]),
 	}
 	jr.cond = sync.NewCond(&jr.mu)
-	// Workers start eagerly: their goroutines belong to the server's
-	// baseline, not to any request, which keeps goroutine accounting flat
-	// under churn.
-	for i := 0; i < workers; i++ {
-		go jr.worker()
-	}
 	return jr
 }
 
@@ -213,16 +241,14 @@ func (jr *jobRunner) stats() JobStats {
 	retained := len(jr.byID)
 	jr.mu.Unlock()
 	return JobStats{
-		Workers:         jr.workers,
 		QueueDepth:      jr.queued.Load(),
 		Running:         jr.running.Load(),
 		Submitted:       jr.submitted.Load(),
-		Rejected:        jr.rejected.Load(),
 		Completed:       jr.completed.Load(),
 		Canceled:        jr.canceled.Load(),
-		PointsCompleted: jr.pointsCompleted.Load(),
-		PointsFailed:    jr.pointsFailed.Load(),
-		PointsCanceled:  jr.pointsCanceled.Load(),
+		PointsCompleted: jr.points[pointCompleted].Load(),
+		PointsFailed:    jr.points[pointFailed].Load(),
+		PointsCanceled:  jr.points[pointCanceled].Load(),
 		Retained:        retained,
 	}
 }
@@ -233,30 +259,8 @@ func (jr *jobRunner) get(id string) *job {
 	return jr.byID[id]
 }
 
-// submit registers and enqueues a job. It returns an error message suitable
-// for a 503 "overloaded" body when the job queue is full, and ok=false.
-func (jr *jobRunner) submit(j *job) (ok bool) {
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	if jr.closed {
-		return false
-	}
-	select {
-	case jr.pending <- j:
-	default:
-		return false
-	}
-	jr.queued.Add(1)
-	jr.submitted.Add(1)
-	jr.unfinished++
-	jr.pruneLocked()
-	jr.byID[j.id] = j
-	jr.order = append(jr.order, j.id)
-	return true
-}
-
 // pruneLocked drops the oldest FINISHED jobs beyond the retention bound.
-// Unfinished jobs are never pruned; they are bounded by queue + workers.
+// Unfinished jobs are never pruned; they are bounded by the admission queue.
 func (jr *jobRunner) pruneLocked() {
 	for len(jr.byID) >= maxRetainedJobs {
 		pruned := false
@@ -283,54 +287,44 @@ func (jr *jobRunner) pruneLocked() {
 	}
 }
 
-func (jr *jobRunner) worker() {
-	for j := range jr.pending {
-		jr.queued.Add(-1)
-		jr.run(j)
-	}
+// start gives an admitted job its id, registers it and runs it in its own
+// goroutine.
+func (jr *jobRunner) start(ctx context.Context, j *job) {
+	j.id = fmt.Sprintf("j-%s-%d", jr.idPrefix, jr.idSeq.Add(1))
+	j.submitted = time.Now()
+	j.runner = jr
+	j.doneCh = make(chan struct{})
+	j.status = JobQueued
+	jr.mu.Lock()
+	jr.pruneLocked()
+	jr.byID[j.id] = j
+	jr.order = append(jr.order, j.id)
+	jr.unfinished++
+	jr.mu.Unlock()
+	jr.submitted.Add(1)
+	jr.queued.Add(1)
+	go jr.run(ctx, j)
 }
 
-// run executes one job's points in order, sequentially: order is what makes
-// the NDJSON stream incremental, and cross-job parallelism comes from the
-// worker pool. The job holds one admission execution slot for its whole
-// run, so jobs and synchronous requests share the concurrency budget.
-func (jr *jobRunner) run(j *job) {
+// run waits for an execution slot, runs the job, and finalizes it. A job
+// whose context ends before a slot frees up still runs: its points fail
+// fast with the context's error, so the stream reports why.
+func (jr *jobRunner) run(ctx context.Context, j *job) {
+	slot := jr.s.adm.acquire(ctx) == nil
+	jr.queued.Add(-1)
 	jr.running.Add(1)
 	j.mu.Lock()
 	j.status = JobRunning
 	j.mu.Unlock()
 
-	slot := jr.s.adm.acquire(j.ctx) == nil
-	for i := range j.points {
-		p := &j.points[i]
-		if err := j.ctx.Err(); err != nil {
-			// Canceled (DELETE, drain hard-cancel) or past its deadline:
-			// skip the remaining points, marking each with the taxonomy
-			// code so stream consumers see why.
-			_, p.code = simErrorStatus(err)
-			p.errMsg = fmt.Sprintf("job %s: %v", j.id, err)
-			jr.finishPoint(j, p)
-			continue
-		}
-		res, err := jr.s.sim.Run(j.ctx, j.batch[i].Net, j.batch[i].Cfg)
-		if err == nil {
-			var out SimResponse
-			if out, err = response(j.reqs[i], res); err == nil {
-				p.resp = &out
-			}
-		}
-		if err != nil {
-			_, p.code = simErrorStatus(err)
-			p.errMsg = err.Error()
-		}
-		jr.finishPoint(j, p)
-	}
-
+	jr.s.runJob(ctx, j)
 	if slot {
 		jr.s.adm.releaseSlot()
 	}
+	jr.s.leave()
+
 	j.mu.Lock()
-	if j.ctx.Err() != nil && j.canceled > 0 {
+	if ctx.Err() != nil && j.tally[pointCanceled] > 0 {
 		j.status = JobCanceled
 	} else {
 		j.status = JobDone
@@ -355,24 +349,6 @@ func (jr *jobRunner) run(j *job) {
 	jr.mu.Unlock()
 }
 
-// finishPoint publishes one point's outcome and updates the tallies.
-func (jr *jobRunner) finishPoint(j *job, p *jobPoint) {
-	j.mu.Lock()
-	switch {
-	case p.code == "":
-		j.completed++
-		jr.pointsCompleted.Add(1)
-	case p.code == "canceled" || p.code == "deadline":
-		j.canceled++
-		jr.pointsCanceled.Add(1)
-	default:
-		j.failed++
-		jr.pointsFailed.Add(1)
-	}
-	j.mu.Unlock()
-	close(p.done)
-}
-
 // drainJobs blocks until every accepted job has finished, or ctx fires.
 func (jr *jobRunner) drainJobs(ctx context.Context) error {
 	done := make(chan struct{})
@@ -395,89 +371,33 @@ func (jr *jobRunner) drainJobs(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// close stops accepting jobs and cancels everything in flight.
-func (jr *jobRunner) close() {
-	jr.mu.Lock()
-	if !jr.closed {
-		jr.closed = true
-		close(jr.pending)
-	}
-	jr.mu.Unlock()
-	jr.cancelRoot()
-}
-
 // DrainJobs waits until every accepted async job has finished — the
 // complement of StartDrain, which stops new submissions. Returns ctx's
 // error if it fires first.
 func (s *Server) DrainJobs(ctx context.Context) error { return s.jobs.drainJobs(ctx) }
 
-// CancelJobs cancels every queued and running async job (they finalize as
-// "canceled", with their pending points marked canceled) and stops the job
-// workers. Used by the daemon's shutdown path after the drain budget
-// expires, and by tests.
-func (s *Server) CancelJobs() { s.jobs.close() }
-
-// Close releases the server's background resources (the job workers). The
-// server must not serve requests afterwards.
-func (s *Server) Close() { s.jobs.close() }
+// Close cancels every waiting and running async job: they finalize as
+// "canceled", with their remaining points marked canceled. The daemon's
+// shutdown path calls it once the drain budget expires; the server must not
+// serve requests afterwards.
+func (s *Server) Close() { s.jobs.cancelRoot() }
 
 // --- HTTP handlers ----------------------------------------------------------
 
 // handleJobSubmit is POST /v1/jobs: a sweep body (same schema as /v1/sweep),
-// answered 202 with a job id before any simulation runs.
+// admitted like any request and answered 202 with a job id before any
+// simulation runs.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.counters.rejectedDraining.Add(1)
-		w.Header().Set("Retry-After", "5")
-		writeErrorCode(w, http.StatusServiceUnavailable, "draining",
-			fmt.Errorf("shutting down: not accepting new jobs"))
+	j, deadlineMS, ok := s.parseSweep(w, r)
+	if !ok || !s.enter(w) {
 		return
 	}
-	reqs, batch, deadlineMS, ok := s.parseSweep(w, r)
-	if !ok {
-		return
-	}
-
 	// The job's context roots at the runner (so shutdown can hard-cancel
-	// it), not at the HTTP request, which ends at the 202. The deadline —
-	// client-supplied, clamped to the server maximum, which also caps
-	// deadline-less jobs — covers queue wait plus execution.
-	d := s.maxDeadline
-	if deadlineMS > 0 {
-		if cd := time.Duration(deadlineMS) * time.Millisecond; d <= 0 || cd < d {
-			d = cd
-		}
-	}
-	var ctx context.Context
-	var cancel context.CancelFunc
-	if d > 0 {
-		ctx, cancel = context.WithTimeout(s.jobs.root, d)
-	} else {
-		ctx, cancel = context.WithCancel(s.jobs.root)
-	}
-
-	j := &job{
-		id:        fmt.Sprintf("j-%s-%d", s.jobs.idPrefix, s.jobs.idSeq.Add(1)),
-		submitted: time.Now(),
-		reqs:      reqs,
-		batch:     batch,
-		ctx:       ctx,
-		cancel:    cancel,
-		points:    make([]jobPoint, len(batch)),
-		doneCh:    make(chan struct{}),
-		status:    JobQueued,
-	}
-	for i := range j.points {
-		j.points[i].done = make(chan struct{})
-	}
-	if !s.jobs.submit(j) {
-		cancel()
-		s.jobs.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeErrorCode(w, http.StatusServiceUnavailable, "overloaded",
-			fmt.Errorf("job queue full (%d workers + %d waiting): retry with backoff", s.jobs.workers, cap(s.jobs.pending)))
-		return
-	}
+	// it), not at the HTTP request, which ends at the 202. Its deadline is
+	// a synchronous sweep's, and covers the slot wait plus execution.
+	ctx, cancel := s.requestContext(s.jobs.root, deadlineMS)
+	j.cancel = cancel
+	s.jobs.start(ctx, j)
 	s.log.Info("job accepted", "job", j.id, "points", len(j.points))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -512,7 +432,10 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			return // client gone; the job itself keeps running
 		}
 		p := &j.points[i]
-		ev := JobEvent{Type: "point", Index: i, Result: p.resp, Error: p.errMsg, Code: p.code}
+		ev := JobEvent{Type: "point", Index: i, Result: p.resp, Code: p.code}
+		if p.err != nil {
+			ev.Error = p.err.Error()
+		}
 		if err := enc.Encode(ev); err != nil {
 			return
 		}

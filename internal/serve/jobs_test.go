@@ -17,7 +17,7 @@ import (
 )
 
 // newJobServer builds a server tuned for job tests: optional per-simulation
-// holdup (chaos hook) and explicit worker/queue knobs.
+// holdup (chaos hook) and explicit admission knobs.
 func newJobServer(t *testing.T, holdup time.Duration, serveOpts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
 	sim := vdnn.NewSimulator(vdnn.WithParallelism(4))
@@ -194,7 +194,7 @@ func TestJobUnknown404(t *testing.T) {
 // TestJobCancel deletes a slow job mid-run and checks the remaining points
 // stream as canceled and the job finalizes as canceled.
 func TestJobCancel(t *testing.T) {
-	_, ts := newJobServer(t, 400*time.Millisecond, WithJobWorkers(1))
+	_, ts := newJobServer(t, 400*time.Millisecond, WithMaxConcurrent(1))
 	acc := submitJob(t, ts, sweepBody(4))
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+acc.ID, nil)
@@ -266,44 +266,40 @@ func TestJobRejectDraining(t *testing.T) {
 	}
 }
 
-// TestJobQueueFull checks the fast-fail path: with one worker and a zero
-// queue, a second concurrent submission bounces with 503 "overloaded".
+// TestJobQueueFull checks jobs go through the same admission as synchronous
+// requests: with one execution slot and no queue, a running job holds the
+// only admission position until it finishes, so both a /v1/simulate and a
+// second job bounce with 503 "overloaded", each counted as an overload
+// rejection. Once the job finishes its position is free again, and it was
+// admitted exactly once.
 func TestJobQueueFull(t *testing.T) {
 	srv, ts := newJobServer(t, 300*time.Millisecond,
-		WithJobWorkers(1), WithJobQueueDepth(0))
+		WithMaxConcurrent(1), WithQueueDepth(0))
 
 	first := submitJob(t, ts, sweepBody(2))
-	// The single worker holds the first job; the queue (cap 0) may briefly
-	// hold it too before the worker picks it up, so retry until the bounce.
-	deadline := time.Now().Add(5 * time.Second)
-	var rejected bool
-	for time.Now().Before(deadline) && !rejected {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(sweepBody(1)))
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/simulate", `{"network":"alexnet","batch":8}`},
+		{"/v1/jobs", sweepBody(1)},
+	} {
+		resp, b := post(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s behind a running job: status %d, body %s, want 503", c.path, resp.StatusCode, b)
 		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusServiceUnavailable:
-			if _, code := errBody(t, b); code != "overloaded" {
-				t.Fatalf("queue-full code %q", code)
-			}
-			rejected = true
-		case http.StatusAccepted:
-			time.Sleep(10 * time.Millisecond)
-		default:
-			t.Fatalf("unexpected status %d: %s", resp.StatusCode, b)
+		if _, code := errBody(t, b); code != "overloaded" {
+			t.Fatalf("%s queue-full code %q", c.path, code)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s overloaded 503 without Retry-After", c.path)
 		}
 	}
-	if !rejected {
-		t.Fatalf("never saw a 503 overloaded with 1 worker and queue depth 0")
-	}
-	if srv.jobs.rejected.Load() == 0 {
-		t.Fatalf("rejected counter not bumped")
+	if got := srv.Stats().RejectedOverload; got != 2 {
+		t.Fatalf("RejectedOverload = %d, want 2 (the simulate and the second job)", got)
 	}
 	if _, sum := streamJob(t, ts, first.ID); sum.Status != JobDone {
 		t.Fatalf("first job: %+v", sum)
+	}
+	if st := srv.Stats(); st.InFlight != 0 || st.Admitted != 1 {
+		t.Fatalf("after the job finished: %+v, want in_flight 0 and admitted 1", st)
 	}
 }
 
@@ -311,7 +307,7 @@ func TestJobQueueFull(t *testing.T) {
 // streaming, listing, canceling and scraping concurrently, then a drain that
 // must observe every accepted job finished.
 func TestJobConcurrentStress(t *testing.T) {
-	srv, ts := newJobServer(t, 0, WithJobWorkers(4), WithJobQueueDepth(64))
+	srv, ts := newJobServer(t, 0, WithQueueDepth(64))
 
 	const submitters = 8
 	const jobsEach = 5

@@ -71,9 +71,9 @@ func (s *Server) newMetricsRegistry() *metrics.Registry {
 			sf(func(v vdnn.StoreStats) int64 { return v.CorruptSkipped }))
 	}
 
-	// Jobs: the async sweep queue.
+	// Jobs: the async sweeps.
 	jr := s.jobs
-	gf("vdnn_jobs_queue_depth", "Accepted jobs waiting for a job worker.",
+	gf("vdnn_jobs_queue_depth", "Accepted jobs waiting for an execution slot.",
 		func() float64 { return float64(jr.queued.Load()) })
 	gf("vdnn_jobs_running", "Jobs currently executing.",
 		func() float64 { return float64(jr.running.Load()) })
@@ -81,24 +81,22 @@ func (s *Server) newMetricsRegistry() *metrics.Registry {
 		func() float64 { return float64(jr.stats().Retained) })
 	cf("vdnn_jobs_submitted_total", "Jobs accepted with 202.",
 		func() float64 { return float64(jr.submitted.Load()) })
-	cf("vdnn_jobs_rejected_total", "Job submissions refused for a full job queue.",
-		func() float64 { return float64(jr.rejected.Load()) })
 	cf("vdnn_jobs_completed_total", "Jobs that ran to the end of their point list.",
 		func() float64 { return float64(jr.completed.Load()) })
 	cf("vdnn_jobs_canceled_total", "Jobs finalized after cancellation.",
 		func() float64 { return float64(jr.canceled.Load()) })
 	cf("vdnn_jobs_points_completed_total", "Sweep points that produced a result.",
-		func() float64 { return float64(jr.pointsCompleted.Load()) })
+		func() float64 { return float64(jr.points[pointCompleted].Load()) })
 	cf("vdnn_jobs_points_failed_total", "Sweep points that failed.",
-		func() float64 { return float64(jr.pointsFailed.Load()) })
+		func() float64 { return float64(jr.points[pointFailed].Load()) })
 	cf("vdnn_jobs_points_canceled_total", "Sweep points skipped or stopped by cancellation.",
-		func() float64 { return float64(jr.pointsCanceled.Load()) })
+		func() float64 { return float64(jr.points[pointCanceled].Load()) })
 
 	// Serve: the admission layer.
 	c := &s.counters
-	gf("vdnn_serve_in_flight", "Simulation requests admitted (queued or executing).",
+	gf("vdnn_serve_in_flight", "Simulation requests and async jobs admitted (queued or executing).",
 		func() float64 { return float64(c.inFlight.Load()) })
-	cf("vdnn_serve_admitted_total", "Simulation requests that entered the system.",
+	cf("vdnn_serve_admitted_total", "Simulation requests and async jobs that entered the system.",
 		func() float64 { return float64(c.admitted.Load()) })
 	cf("vdnn_serve_completed_total", "Simulation requests answered 2xx.",
 		func() float64 { return float64(c.completed.Load()) })

@@ -46,15 +46,14 @@ type options struct {
 	defaultDeadline time.Duration
 	maxDeadline     time.Duration
 	injector        *chaos.Injector
-	jobWorkers      int
-	jobQueueDepth   int
 	logger          *slog.Logger
 	store           *vdnn.Store
 }
 
-// WithMaxConcurrent bounds how many simulation requests (simulate or sweep)
-// execute at once; further admitted requests wait in the bounded queue.
-// Defaults to the simulator's parallelism. n <= 0 keeps the default.
+// WithMaxConcurrent bounds how many simulation requests (simulate, sweep,
+// plan or async job) execute at once; further admitted requests wait in the
+// bounded queue. Defaults to the simulator's parallelism. n <= 0 keeps the
+// default.
 func WithMaxConcurrent(n int) Option {
 	return func(o *options) {
 		if n > 0 {
@@ -63,9 +62,10 @@ func WithMaxConcurrent(n int) Option {
 	}
 }
 
-// WithQueueDepth bounds how many admitted requests may wait for an execution
-// slot beyond the MaxConcurrent already running; a request arriving past
-// that fails fast with 503 + Retry-After instead of queueing unboundedly.
+// WithQueueDepth bounds how many admitted requests — async jobs included,
+// which hold their place until they finish — may wait for an execution slot
+// beyond the MaxConcurrent already running; a request arriving past that
+// fails fast with 503 + Retry-After instead of queueing unboundedly.
 // Default 4 × MaxConcurrent. n < 0 keeps the default; 0 disables queueing
 // (beyond the running set) entirely.
 func WithQueueDepth(n int) Option {
@@ -94,33 +94,8 @@ func WithChaos(in *chaos.Injector) Option {
 	return func(o *options) { o.injector = in }
 }
 
-// WithJobWorkers sets how many async jobs (POST /v1/jobs) execute
-// concurrently. Each running job occupies one of the server's execution
-// slots while it simulates, so jobs and synchronous requests share one
-// concurrency budget. Default: half of MaxConcurrent, at least 1. n <= 0
-// keeps the default.
-func WithJobWorkers(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.jobWorkers = n
-		}
-	}
-}
-
-// WithJobQueueDepth bounds how many accepted jobs may wait for a job worker;
-// a submission arriving past that fails fast with 503 + Retry-After.
-// Default 16. n < 0 keeps the default; 0 admits only as many jobs as there
-// are idle workers.
-func WithJobQueueDepth(n int) Option {
-	return func(o *options) {
-		if n >= 0 {
-			o.jobQueueDepth = n
-		}
-	}
-}
-
 // WithLogger routes the server's structured request logs (one slog record
-// per request, with request ids) and the job runner's lifecycle logs to l.
+// per request, with request ids) and the async jobs' lifecycle logs to l.
 // Default: discard.
 func WithLogger(l *slog.Logger) Option {
 	return func(o *options) {
@@ -138,9 +113,9 @@ func WithStore(st *vdnn.Store) Option {
 	return func(o *options) { o.store = st }
 }
 
-// admission is the bounded job queue: queue admits at most
-// maxConcurrent+queueDepth requests into the system (running + waiting),
-// slots lets maxConcurrent of them execute.
+// admission is the bounded request queue: queue admits at most
+// maxConcurrent+queueDepth requests and async jobs into the system (running
+// + waiting), slots lets maxConcurrent of them execute.
 type admission struct {
 	slots chan struct{}
 	queue chan struct{}
@@ -180,10 +155,11 @@ func (a *admission) leave()       { <-a.queue }
 // ServeStats counts the admission and failure behavior of the HTTP layer;
 // exposed under "serve" on GET /v1/stats.
 type ServeStats struct {
-	// InFlight is the number of simulation requests currently admitted
-	// (queued or executing) — a gauge, not a counter.
+	// InFlight is the number of simulation requests and async jobs
+	// currently admitted (queued or executing) — a gauge, not a counter.
 	InFlight int64 `json:"in_flight"`
-	// Admitted counts simulation requests that entered the system.
+	// Admitted counts simulation requests and async jobs that entered the
+	// system.
 	Admitted int64 `json:"admitted"`
 	// Completed counts simulation requests answered 2xx.
 	Completed int64 `json:"completed"`
@@ -254,36 +230,50 @@ func (s *Server) requestContext(parent context.Context, deadlineMS int64) (conte
 	return context.WithTimeout(parent, d)
 }
 
-// admit runs the admission path for one simulation request: drain check,
-// bounded queue entry, then a slot wait under ctx. On success it returns a
-// release function; on failure it has already written the response.
-func (s *Server) admit(w http.ResponseWriter, ctx context.Context) (release func(), ok bool) {
+// enter is the admission step every simulation request and async job takes
+// first: the drain check, then a bounded queue position, held until leave.
+// On failure it has already written the 503.
+func (s *Server) enter(w http.ResponseWriter) bool {
 	if s.draining.Load() {
 		s.counters.rejectedDraining.Add(1)
 		w.Header().Set("Retry-After", "5")
 		writeErrorCode(w, http.StatusServiceUnavailable, "draining",
 			fmt.Errorf("shutting down: not accepting new simulations"))
-		return nil, false
+		return false
 	}
 	if !s.adm.tryEnter() {
 		s.counters.rejectedOverload.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeErrorCode(w, http.StatusServiceUnavailable, "overloaded",
 			fmt.Errorf("queue full (%d executing + %d waiting): retry with backoff", cap(s.adm.slots), cap(s.adm.queue)-cap(s.adm.slots)))
-		return nil, false
+		return false
 	}
 	s.counters.inFlight.Add(1)
 	s.counters.admitted.Add(1)
+	return true
+}
+
+// leave gives back the queue position taken by enter.
+func (s *Server) leave() {
+	s.adm.leave()
+	s.counters.inFlight.Add(-1)
+}
+
+// admit runs the admission path of a synchronous request: enter, then a
+// slot wait under ctx. On success it returns a release function; on failure
+// it has already written the response.
+func (s *Server) admit(w http.ResponseWriter, ctx context.Context) (release func(), ok bool) {
+	if !s.enter(w) {
+		return nil, false
+	}
 	if err := s.adm.acquire(ctx); err != nil {
-		s.adm.leave()
-		s.counters.inFlight.Add(-1)
+		s.leave()
 		s.writeCtxError(w, err)
 		return nil, false
 	}
 	return func() {
 		s.adm.releaseSlot()
-		s.adm.leave()
-		s.counters.inFlight.Add(-1)
+		s.leave()
 	}, true
 }
 
@@ -299,10 +289,10 @@ func (s *Server) writeCtxError(w http.ResponseWriter, err error) {
 	writeErrorCode(w, StatusClientClosedRequest, "canceled", err)
 }
 
-// simErrorStatus maps a Run/RunBatch error onto the taxonomy. The Run
+// simErrorStatus maps a Run/RunEach error onto the taxonomy. The Run
 // contract makes plain errors invalid configurations (client-supplied here →
 // 400); context outcomes and panics are distinguished first. Shared by the
-// synchronous error writer and the async job runner, so a failed job point
+// synchronous error writer and the job stream, so a failed job point
 // reports the same code its synchronous twin would.
 func simErrorStatus(err error) (status int, code string) {
 	switch {
@@ -319,7 +309,7 @@ func simErrorStatus(err error) (status int, code string) {
 	}
 }
 
-// writeSimError classifies a Run/RunBatch error for a synchronous response.
+// writeSimError classifies a Run/RunEach error for a synchronous response.
 func (s *Server) writeSimError(w http.ResponseWriter, err error) {
 	status, code := simErrorStatus(err)
 	switch code {

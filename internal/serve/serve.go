@@ -8,7 +8,7 @@
 //
 //	POST   /v1/simulate   one configuration        -> SimResponse
 //	POST   /v1/sweep      {"jobs": [...]} batch    -> SweepResponse
-//	POST   /v1/jobs       async sweep              -> 202 JobAccepted
+//	POST   /v1/jobs       the same sweep, async    -> 202 JobAccepted
 //	GET    /v1/jobs       retained job summaries   -> {"jobs": [...]}
 //	GET    /v1/jobs/{id}  NDJSON point stream      -> JobEvent* JobSummary
 //	DELETE /v1/jobs/{id}  cancel                   -> JobSummary
@@ -21,9 +21,12 @@
 //	GET    /healthz       liveness                 -> "ok"
 //	GET    /readyz        readiness (503 draining) -> "ready"
 //
-// Simulation requests pass through admission control (bounded queue, 503 +
-// Retry-After when full) and run under a per-request deadline (server
-// default, or the request's deadline_ms clamped to the server maximum).
+// A sweep is a job: both sweep routes run it through one function, inline
+// for /v1/sweep and in the background for /v1/jobs (see jobs.go).
+// Simulation requests and async jobs alike pass through admission control
+// (bounded queue, 503 + Retry-After when full) and run under a per-request
+// deadline (server default, or the body's deadline_ms clamped to the server
+// maximum).
 // Errors are JSON bodies {"error": "...", "code": "..."} with a 4xx/5xx
 // status; the taxonomy is documented in robustness.go.
 package serve
@@ -215,13 +218,6 @@ type StageResponse struct {
 	PoolPeakBytes int64   `json:"pool_peak_bytes"`
 }
 
-// SweepRequest is a batch of simulations answered in order. DeadlineMS
-// bounds the whole batch; per-job deadline_ms is rejected.
-type SweepRequest struct {
-	Jobs       []SimRequest `json:"jobs"`
-	DeadlineMS int64        `json:"deadline_ms,omitempty"`
-}
-
 // StatsResponse is the GET /v1/stats body: the simulator's cache counters,
 // the HTTP layer's admission counters, and the planner's cumulative search
 // counters (how much of its design spaces the daemon evaluated vs pruned).
@@ -327,7 +323,6 @@ func New(sim *vdnn.Simulator, opts ...Option) *Server {
 		queueDepth:      -1,
 		defaultDeadline: defaultRequestDeadline,
 		maxDeadline:     defaultMaxDeadline,
-		jobQueueDepth:   -1,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -337,12 +332,6 @@ func New(sim *vdnn.Simulator, opts ...Option) *Server {
 	}
 	if o.queueDepth < 0 {
 		o.queueDepth = 4 * o.maxConcurrent
-	}
-	if o.jobWorkers <= 0 {
-		o.jobWorkers = max(1, o.maxConcurrent/2)
-	}
-	if o.jobQueueDepth < 0 {
-		o.jobQueueDepth = defaultJobQueueDepth
 	}
 	if o.logger == nil {
 		o.logger = slog.New(slog.DiscardHandler)
@@ -356,7 +345,7 @@ func New(sim *vdnn.Simulator, opts ...Option) *Server {
 		log:             o.logger,
 		store:           o.store,
 	}
-	s.jobs = newJobRunner(s, o.jobWorkers, o.jobQueueDepth)
+	s.jobs = newJobRunner(s)
 	s.reg = s.newMetricsRegistry()
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /readyz", s.handleReadyz)
@@ -638,61 +627,71 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// parseSweep decodes and resolves a sweep body — shared by the synchronous
-// /v1/sweep and the asynchronous POST /v1/jobs. On failure it has already
-// written the 400 response and returns ok=false.
-func (s *Server) parseSweep(w http.ResponseWriter, r *http.Request) (reqs []SimRequest, jobs []vdnn.BatchJob, deadlineMS int64, ok bool) {
+// parseSweep decodes and resolves a sweep body into the job both
+// /v1/sweep and POST /v1/jobs run, and returns the body's deadline_ms. On
+// failure it has already written the 400 response and returns ok=false.
+func (s *Server) parseSweep(w http.ResponseWriter, r *http.Request) (j *job, deadlineMS int64, ok bool) {
 	var sr struct {
 		Jobs       []json.RawMessage `json:"jobs"`
 		DeadlineMS int64             `json:"deadline_ms"`
 	}
 	if err := decodeJSON(w, r, &sr); err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	if err := validDeadlineMS(sr.DeadlineMS); err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	if len(sr.Jobs) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty sweep: provide jobs"))
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	if len(sr.Jobs) > maxSweepJobs {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep of %d jobs exceeds the limit of %d", len(sr.Jobs), maxSweepJobs))
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
-	reqs = make([]SimRequest, len(sr.Jobs))
-	jobs = make([]vdnn.BatchJob, len(sr.Jobs))
+	j = &job{
+		reqs:   make([]SimRequest, len(sr.Jobs)),
+		batch:  make([]vdnn.BatchJob, len(sr.Jobs)),
+		points: make([]jobPoint, len(sr.Jobs)),
+	}
 	for i, raw := range sr.Jobs {
 		req := defaultRequest()
 		if err := strictDecode(bytes.NewReader(raw), &req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
-			return nil, nil, 0, false
+			return nil, 0, false
 		}
 		if req.Trace {
 			// A sweep of inline traces would dwarf any sane response body;
 			// request traces one simulation at a time.
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: trace is not available in sweeps; use /v1/simulate", i))
-			return nil, nil, 0, false
+			return nil, 0, false
 		}
 		if req.DeadlineMS != 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: deadline_ms applies to the whole sweep; set it on the sweep body", i))
-			return nil, nil, 0, false
+			return nil, 0, false
 		}
 		net, cfg, err := s.resolve(req)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
-			return nil, nil, 0, false
+			return nil, 0, false
 		}
-		reqs[i] = req
-		jobs[i] = vdnn.BatchJob{Net: net, Cfg: cfg}
+		j.reqs[i] = req
+		j.batch[i] = vdnn.BatchJob{Net: net, Cfg: cfg}
+		j.points[i].done = make(chan struct{})
 	}
-	return reqs, jobs, sr.DeadlineMS, true
+	return j, sr.DeadlineMS, true
 }
 
+// handleSweep is POST /v1/sweep: {"jobs": [...], "deadline_ms": N} answered
+// with one result per job, in job order. It runs the job POST /v1/jobs would
+// run, inline under the request's own admission slot and deadline. The
+// body's deadline_ms covers the whole batch; a per-job deadline_ms is
+// rejected. A failed point fails the request with that point's status and
+// code and the message "job i: <err>"; the first failure in job order wins.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	reqs, jobs, deadlineMS, ok := s.parseSweep(w, r)
+	j, deadlineMS, ok := s.parseSweep(w, r)
 	if !ok {
 		return
 	}
@@ -703,17 +702,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	results, err := s.sim.RunBatch(ctx, jobs)
-	if err != nil {
-		s.writeSimError(w, err)
-		return
-	}
-	out := SweepResponse{Results: make([]SimResponse, len(results))}
-	for i, res := range results {
-		if out.Results[i], err = response(reqs[i], res); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+	s.runJob(ctx, j)
+	out := SweepResponse{Results: make([]SimResponse, len(j.points))}
+	for i, p := range j.points {
+		if p.err != nil {
+			s.writeSimError(w, fmt.Errorf("job %d: %w", i, p.err))
 			return
 		}
+		out.Results[i] = *p.resp
 	}
 	s.counters.completed.Add(1)
 	writeJSON(w, out)

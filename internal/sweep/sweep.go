@@ -148,7 +148,7 @@ type Stats struct {
 	Hits int64 `json:"hits"`
 	// Coalesced is the number of requests folded onto another request of the
 	// same key instead of starting their own computation: duplicates within
-	// a RunAll batch, plus requests that waited on an in-flight entry.
+	// a batch, plus requests that waited on an in-flight entry.
 	Coalesced int64 `json:"coalesced"`
 	// Evictions is the number of completed entries dropped to honor the
 	// cache bound.
@@ -728,92 +728,13 @@ func canceledAs(ctx context.Context) error {
 }
 
 // RunAll simulates a batch of jobs across the worker pool and returns the
-// results in job order. Duplicate jobs (within the batch or against earlier
-// calls) are simulated once and share one *core.Result; within-batch
-// duplicates are folded before dispatch so they never occupy a worker slot
-// waiting on their twin. The first error in job order is returned, wrapped
-// with the failing job's network and policy; results of failed jobs are nil.
-// Once ctx is canceled, no further simulations are dispatched and the
-// remaining jobs fail with the context's error.
+// results in job order: RunEach, collected. The first error in job order is
+// returned, wrapped with the failing job's network and policy; results of
+// failed jobs are nil.
 func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*core.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	results := make([]*core.Result, len(jobs))
 	errs := make([]error, len(jobs))
-
-	// Fold within-batch duplicates: canon[i] is the index of the first job
-	// with the same key; only first occurrences are dispatched.
-	canon := make([]int, len(jobs))
-	firstOf := make(map[key]int, len(jobs))
-	unique := make([]int, 0, len(jobs))
-	for i, j := range jobs {
-		k := keyOf(j.Net, j.Cfg)
-		if f, ok := firstOf[k]; ok {
-			canon[i] = f
-		} else {
-			firstOf[k] = i
-			canon[i] = i
-			unique = append(unique, i)
-		}
-	}
-	if dups := len(jobs) - len(unique); dups > 0 {
-		e.stats.coalesced.Add(int64(dups))
-	}
-
-	workers := e.workers
-	if workers > len(unique) {
-		workers = len(unique)
-	}
-	if workers <= 1 {
-		// Stay off the goroutine pool: at parallelism 1, handing each job to
-		// a single worker over a channel raised the capacity-sweep
-		// benchmark's CPU time per op by 17–20% (both orders of two
-		// alternating runs), most likely from scheduler spinning on the
-		// hand-off.
-		for _, i := range unique {
-			results[i], errs[i] = e.Run(ctx, jobs[i].Net, jobs[i].Cfg)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i], errs[i] = e.Run(ctx, jobs[i].Net, jobs[i].Cfg)
-				}
-			}()
-		}
-	dispatch:
-		for _, i := range unique {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				errs[i] = fmt.Errorf("job %d abandoned before dispatch: %w", i, ctx.Err())
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			for _, i := range unique {
-				if results[i] == nil && errs[i] == nil {
-					// Identify which sweep points were abandoned: a batch
-					// error naming only the context reason hides how far the
-					// dispatch got.
-					errs[i] = fmt.Errorf("job %d abandoned before dispatch: %w", i, err)
-				}
-			}
-		}
-	}
-
-	for i, c := range canon {
-		if c != i {
-			results[i], errs[i] = results[c], errs[c]
-		}
-	}
+	e.RunEach(ctx, jobs, func(i int, res *core.Result, err error) { results[i], errs[i] = res, err })
 	for i, err := range errs {
 		if err != nil {
 			policy := fmt.Sprint(jobs[i].Cfg.Policy)
@@ -825,4 +746,88 @@ func (e *Engine) RunAll(ctx context.Context, jobs []Job) ([]*core.Result, error)
 		}
 	}
 	return results, nil
+}
+
+// RunEach simulates a batch of jobs across the worker pool and hands each
+// job's outcome to done as soon as it is known: done(i, res, err) is called
+// exactly once per job, from the goroutine that finished it, so calls for
+// distinct jobs may run concurrently and in any order. Duplicate jobs
+// (within the batch or against earlier calls) are simulated once and share
+// one *core.Result; within-batch duplicates are folded before dispatch so
+// they never occupy a worker slot waiting on their twin, and receive their
+// twin's outcome. Once ctx is canceled, no further simulations are
+// dispatched and the remaining jobs fail with the context's error.
+func (e *Engine) RunEach(ctx context.Context, jobs []Job, done func(i int, res *core.Result, err error)) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Fold within-batch duplicates: only the first job of each key is
+	// dispatched, and twin[i] chains to the next job with the same key (0:
+	// none — a twin always comes later).
+	twin := make([]int, len(jobs))
+	last := make(map[key]int, len(jobs))
+	unique := make([]int, 0, len(jobs))
+	for i, j := range jobs {
+		k := keyOf(j.Net, j.Cfg)
+		if l, ok := last[k]; ok {
+			twin[l] = i
+		} else {
+			unique = append(unique, i)
+		}
+		last[k] = i
+	}
+	if dups := len(jobs) - len(unique); dups > 0 {
+		e.stats.coalesced.Add(int64(dups))
+	}
+	finish := func(i int, res *core.Result, err error) {
+		for {
+			done(i, res, err)
+			if i = twin[i]; i == 0 {
+				return
+			}
+		}
+	}
+
+	workers := min(e.workers, len(unique))
+	if workers <= 1 {
+		// Stay off the goroutine pool: at parallelism 1, handing each job to
+		// a single worker over a channel raised the capacity-sweep
+		// benchmark's CPU time per op by 17–20% (both orders of two
+		// alternating runs), most likely from scheduler spinning on the
+		// hand-off.
+		for _, i := range unique {
+			res, err := e.Run(ctx, jobs[i].Net, jobs[i].Cfg)
+			finish(i, res, err)
+		}
+		return
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				res, err := e.Run(ctx, jobs[i].Net, jobs[i].Cfg)
+				finish(i, res, err)
+			}
+		}()
+	}
+	dispatched := 0
+dispatch:
+	for _, i := range unique {
+		select {
+		case next <- i:
+			dispatched++
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	for _, i := range unique[dispatched:] {
+		// Identify which sweep points were abandoned: a batch error naming
+		// only the context reason hides how far the dispatch got.
+		finish(i, nil, fmt.Errorf("job %d abandoned before dispatch: %w", i, ctx.Err()))
+	}
+	wg.Wait()
 }

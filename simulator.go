@@ -191,6 +191,14 @@ func (s *Simulator) RunBatch(ctx context.Context, jobs []BatchJob) ([]*Result, e
 	return s.eng.RunAll(ctx, jobs)
 }
 
+// RunEach runs a batch exactly as RunBatch does, but hands each job's
+// outcome to done as soon as it is known instead of collecting them:
+// done(i, res, err) is called exactly once per job, possibly concurrently
+// and in any order, with the job's own unwrapped error.
+func (s *Simulator) RunEach(ctx context.Context, jobs []BatchJob, done func(i int, res *Result, err error)) {
+	s.eng.RunEach(ctx, jobs, done)
+}
+
 // Stats returns a snapshot of the simulator's cache counters.
 func (s *Simulator) Stats() EngineStats { return s.eng.Stats() }
 
