@@ -154,8 +154,10 @@
 // bill in joules: ComputeJ (kernel-busy board power plus the compute share
 // of DRAM activity), DMAJ (offload/prefetch wire transfers plus their DRAM
 // share), CodecJ (compression/decompression passes), and IdleJ (the
-// baseline burn while nothing is busy). The accounting is conserved by
-// construction — TotalJ equals Power.AvgW times IterTime to 1e-9 relative
+// baseline burn while nothing is busy). Each device's schedule is walked
+// once over the measured iteration, and that one pass yields its traffic,
+// busy times, overlap, contention stall, power and energy. The accounting
+// is conserved by construction — TotalJ equals Power.AvgW times IterTime to 1e-9 relative
 // tolerance, an invariant the test suite checks for every shape of the
 // trainer's replicas × stages grid and every experiment of the reproduction
 // suite. Data-parallel and pipeline results

@@ -56,6 +56,7 @@ func TestEnergyConservationSingle(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := run(t, vgg64, c.cfg)
+		checkResult(t, c.label, r)
 		checkConserved(t, c.label, r.Energy, r.Power.AvgW, r.IterTime)
 		if r.Energy.ComputeJ <= 0 || r.Energy.IdleJ <= 0 {
 			t.Errorf("%s: compute %.3f J, idle %.3f J — both should be positive",
@@ -82,6 +83,7 @@ func TestEnergyConservationDataParallel(t *testing.T) {
 	r := run(t, alexNet, Config{Spec: titan(), Policy: VDNNConv, Algo: PerfOptimal,
 		Compression: compress.Config{Codec: compress.CodecZVC},
 		Devices:     4, Topology: pcie.SharedGen3Root()})
+	checkResult(t, "data-parallel", r)
 	if len(r.Devices) != 4 {
 		t.Fatalf("device rows = %d", len(r.Devices))
 	}
@@ -106,6 +108,7 @@ func TestEnergyConservationPipeline(t *testing.T) {
 	r := run(t, vgg64, Config{Spec: titan(), Policy: VDNNConv, Algo: PerfOptimal,
 		Compression: compress.Config{Codec: compress.CodecZVC},
 		Stages:      2, Topology: pcie.SharedGen3Root()})
+	checkResult(t, "pipeline", r)
 	if len(r.Devices) != 2 {
 		t.Fatalf("device rows = %d", len(r.Devices))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"vdnn/internal/networks"
@@ -47,9 +48,7 @@ func TestMultiGPUDedicatedNoContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Trainable {
-		t.Fatalf("untrainable: %s", r.FailReason)
-	}
+	checkResult(t, "dedicated", r)
 	if len(r.Devices) != 2 {
 		t.Fatalf("got %d DeviceResults, want 2", len(r.Devices))
 	}
@@ -79,9 +78,7 @@ func TestMultiGPUSharedRootContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Trainable {
-		t.Fatalf("untrainable: %s", r.FailReason)
-	}
+	checkResult(t, "shared-x16", r)
 	var stalled int
 	for _, d := range r.Devices {
 		if d.ContentionStall > 0 {
@@ -108,6 +105,7 @@ func TestMultiGPUStepTimeMonotonic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkResult(t, fmt.Sprintf("%d devices", devices), r)
 		var sum sim.Time
 		for _, d := range r.Devices {
 			sum += d.StepTime
@@ -133,6 +131,7 @@ func TestAllReduceAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResult(t, "vDNN-all", r)
 	w := alexNet.TotalWeightBytes()
 	chunk := (w + n - 1) / n
 	perDevice := 2 * int64(2*(n-1)) * chunk // sends + receives
@@ -153,6 +152,7 @@ func TestAllReduceAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkResult(t, "baseline", base)
 	if base.AllReduceBytes != r.AllReduceBytes {
 		t.Errorf("baseline all-reduce %d != vDNN all-reduce %d", base.AllReduceBytes, r.AllReduceBytes)
 	}

@@ -4,12 +4,13 @@ import (
 	"sort"
 
 	"vdnn/internal/dnn"
+	"vdnn/internal/gpu"
 	"vdnn/internal/memalloc"
 	"vdnn/internal/sim"
 )
 
 // assemble builds the Result of the measured window [winStart, winEnd).
-// Replica row 0 supplies the per-replica fields — pool usage, layer stats,
+// Every cell's device is measured once (gpu.Device.Measure). Replica row 0 supplies the per-replica fields — pool usage, layer stats,
 // PeakByKind, framework memory, on-demand fetches and Power — merged across
 // its stages (replicas are symmetric, stages each own a slice of the
 // network); traffic, energy, host-pinned and inter-stage counters sum over
@@ -30,17 +31,14 @@ func (g *grid) assemble(cfg Config, winStart, winEnd sim.Time) *Result {
 		MicroBatches: cfg.MicroBatches,
 		PeakByKind:   map[memalloc.Kind]int64{},
 	}
-	multi := g.R*g.S > 1
 	layers := head.stats // row 0's stages merge into the first one's stats
 	arStart, arEnd := sim.Time(-1), sim.Time(-1)
 	for ri, row := range g.cells {
 		for s, c := range row {
-			var dr DeviceResult
-			if multi {
-				dr = c.deviceResult(winStart, winEnd)
+			m := c.dev.Measure(winStart, winEnd)
+			dr := c.deviceResult(m)
+			if g.R*g.S > 1 {
 				r.Devices = append(r.Devices, dr)
-			} else {
-				dr = c.deviceTotals(winStart, winEnd)
 			}
 			r.OffloadBytes += dr.OffloadBytes
 			r.PrefetchBytes += dr.PrefetchBytes
@@ -53,8 +51,11 @@ func (g *grid) assemble(cfg Config, winStart, winEnd sim.Time) *Result {
 			r.InterStageBytes += c.ppSendBytes // each transfer counted once, at its sender
 			r.InterStageRawBytes += c.ppSendRaw
 			r.Energy = r.Energy.Add(dr.Energy)
-			if g.R > 1 {
-				arStart, arEnd = c.peerSpan(winStart, winEnd, arStart, arEnd)
+			if g.R > 1 && m.PeerStart >= 0 {
+				if arStart < 0 || m.PeerStart < arStart {
+					arStart = m.PeerStart
+				}
+				arEnd = max(arEnd, m.PeerEnd)
 			}
 			if ri > 0 {
 				continue
@@ -230,95 +231,26 @@ func sortSchedule(s []ScheduleOp) {
 	})
 }
 
-// deviceTotals measures the cell's wire traffic by kind, and its power and
-// energy, over the window — the per-device numbers every Result sums.
-func (e *runtime) deviceTotals(winStart, winEnd sim.Time) DeviceResult {
-	dr := DeviceResult{Device: e.dev.ID}
-	for _, eng := range e.dev.Engines() {
-		for _, o := range eng.Ops() {
-			if o.End <= winStart || o.Start >= winEnd || o.DurationT == 0 {
-				continue
-			}
-			switch o.Kind {
-			case sim.OpCopyD2H:
-				dr.OffloadBytes += o.BusBytes
-			case sim.OpCopyH2D:
-				dr.PrefetchBytes += o.BusBytes
-			case sim.OpCopyP2P:
-				dr.AllReduceBytes += o.BusBytes
-			}
-		}
+// deviceResult is the cell's DeviceResult: its device's measurement of the
+// window plus the runtime's pre-codec offload bytes.
+func (e *runtime) deviceResult(m gpu.Measurement) DeviceResult {
+	dr := DeviceResult{
+		Device:           e.dev.ID,
+		StepTime:         m.Span,
+		ComputeBusy:      m.ComputeBusy,
+		CopyBusy:         m.CopyBusy,
+		OffloadBytes:     m.OffloadBytes,
+		PrefetchBytes:    m.PrefetchBytes,
+		AllReduceBytes:   m.AllReduceBytes,
+		OffloadRawBytes:  e.offRawBytes,
+		CompressionRatio: compressionRatio(e.offRawBytes, m.OffloadBytes),
+		CodecBusy:        m.CodecBusy,
+		ContentionStall:  m.ContentionStall,
+		Power:            m.Power,
+		Energy:           m.Energy,
 	}
-	dr.OffloadRawBytes = e.offRawBytes
-	dr.CompressionRatio = compressionRatio(dr.OffloadRawBytes, dr.OffloadBytes)
-	dr.Power, dr.Energy = e.dev.MeasurePowerEnergy(winStart, winEnd)
-	return dr
-}
-
-// peerSpan widens [start, end] (start < 0: empty) to cover the cell's
-// peer-to-peer (all-reduce) transfers inside the window.
-func (e *runtime) peerSpan(winStart, winEnd, start, end sim.Time) (sim.Time, sim.Time) {
-	for _, eng := range e.dev.Engines() {
-		for _, o := range eng.Ops() {
-			if o.Kind != sim.OpCopyP2P || o.End <= winStart || o.Start >= winEnd {
-				continue
-			}
-			if start < 0 || o.Start < start {
-				start = o.Start
-			}
-			if o.End > end {
-				end = o.End
-			}
-		}
-	}
-	return start, end
-}
-
-// deviceResult summarizes one replica's measured iteration.
-func (e *runtime) deviceResult(winStart, winEnd sim.Time) DeviceResult {
-	dr := e.deviceTotals(winStart, winEnd)
-	var minS, maxE sim.Time
-	first := true
-	var computeIv, copyIv []sim.Interval
-	for _, eng := range e.dev.Engines() {
-		for _, o := range eng.Ops() {
-			if o.End <= winStart || o.Start >= winEnd || o.DurationT == 0 {
-				continue
-			}
-			if first || o.Start < minS {
-				minS = o.Start
-			}
-			if o.End > maxE {
-				maxE = o.End
-			}
-			first = false
-			switch o.Kind {
-			case sim.OpKernel:
-				dr.ComputeBusy += o.DurationT
-				computeIv = append(computeIv, sim.Interval{Start: o.Start, End: o.End, Op: o})
-			case sim.OpCompress, sim.OpDecompress:
-				// Codec passes keep their DMA engine busy like any copy and
-				// can hide behind compute the same way; they move no wire
-				// bytes and never stall on the interconnect.
-				dr.CopyBusy += o.DurationT
-				dr.CodecBusy += o.DurationT
-				copyIv = append(copyIv, sim.Interval{Start: o.Start, End: o.End, Op: o})
-			case sim.OpCopyD2H, sim.OpCopyH2D, sim.OpCopyP2P, sim.OpCopyStage:
-				dr.CopyBusy += o.DurationT
-				copyIv = append(copyIv, sim.Interval{Start: o.Start, End: o.End, Op: o})
-				if !e.cfg.PageMigration {
-					if stall := o.DurationT - e.cfg.Spec.Link.DMATime(o.BusBytes); stall > 0 {
-						dr.ContentionStall += stall
-					}
-				}
-			}
-		}
-	}
-	if !first {
-		dr.StepTime = maxE - minS
-	}
-	if dr.CopyBusy > 0 {
-		dr.OverlapEff = float64(overlapTime(copyIv, computeIv)) / float64(dr.CopyBusy)
+	if m.CopyBusy > 0 {
+		dr.OverlapEff = float64(m.Overlap) / float64(m.CopyBusy)
 	}
 	return dr
 }
@@ -369,47 +301,4 @@ func (r *Result) DeviceImbalance() float64 {
 	}
 	mean := float64(total) / float64(len(r.Devices))
 	return float64(max) / mean
-}
-
-// overlapTime returns the total time the intervals of a spend inside the
-// union of the intervals of b.
-func overlapTime(a, b []sim.Interval) sim.Time {
-	merged := mergeIntervals(b)
-	var total sim.Time
-	for _, iv := range a {
-		for _, m := range merged {
-			lo, hi := iv.Start, iv.End
-			if m.Start > lo {
-				lo = m.Start
-			}
-			if m.End < hi {
-				hi = m.End
-			}
-			if hi > lo {
-				total += hi - lo
-			}
-		}
-	}
-	return total
-}
-
-// mergeIntervals coalesces intervals into a sorted, disjoint set.
-func mergeIntervals(iv []sim.Interval) []sim.Interval {
-	if len(iv) == 0 {
-		return nil
-	}
-	s := append([]sim.Interval(nil), iv...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-	out := s[:1]
-	for _, x := range s[1:] {
-		last := &out[len(out)-1]
-		if x.Start <= last.End {
-			if x.End > last.End {
-				last.End = x.End
-			}
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
 }

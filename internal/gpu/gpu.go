@@ -312,17 +312,6 @@ func (d *Device) Engines() []*sim.Engine {
 	return []*sim.Engine{d.Compute, d.DMADown, d.DMAUp}
 }
 
-// Ops returns every op executed on this device's engines. When several
-// replicas share a timeline this is the device's slice of the schedule; for
-// a single device it covers the whole timeline.
-func (d *Device) Ops() []*sim.Op {
-	var out []*sim.Op
-	for _, e := range d.Engines() {
-		out = append(out, e.Ops()...)
-	}
-	return out
-}
-
 // Kernel issues a compute kernel on stream_compute.
 func (d *Device) Kernel(label string, dur sim.Time, flops, dramBytes int64, deps ...*sim.Op) *sim.Op {
 	return d.TL.Issue(&sim.Op{
@@ -426,21 +415,4 @@ func (d *Device) StageSend(label string, n int64, s *sim.Stream, deps ...*sim.Op
 // (inbound: H2D engine, root complex up channel).
 func (d *Device) StageRecv(label string, n int64, s *sim.Stream, deps ...*sim.Op) *sim.Op {
 	return d.stage(label, n, s, d.DMAUp, d.ChanUp, deps...)
-}
-
-// BusTraffic returns total bytes this device moved over the interconnect,
-// split by direction (offload, prefetch). All-reduce (P2P) traffic is
-// counted separately by the trainer.
-func (d *Device) BusTraffic() (down, up int64) {
-	for _, e := range d.Engines() {
-		for _, o := range e.Ops() {
-			switch o.Kind {
-			case sim.OpCopyD2H:
-				down += o.BusBytes
-			case sim.OpCopyH2D:
-				up += o.BusBytes
-			}
-		}
-	}
-	return down, up
 }

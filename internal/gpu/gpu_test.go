@@ -93,9 +93,9 @@ func TestDeviceOverlapSemantics(t *testing.T) {
 	if err := d.TL.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	down, up := d.BusTraffic()
-	if down != 64<<20 || up != 64<<20 {
-		t.Fatalf("bus traffic down=%d up=%d, want 64 MiB each", down, up)
+	m := d.Measure(0, pre.End)
+	if m.OffloadBytes != 64<<20 || m.PrefetchBytes != 64<<20 {
+		t.Fatalf("bus traffic down=%d up=%d, want 64 MiB each", m.OffloadBytes, m.PrefetchBytes)
 	}
 }
 
@@ -115,12 +115,12 @@ func TestCopyEnginesRunConcurrently(t *testing.T) {
 
 func TestPowerIdle(t *testing.T) {
 	d := NewDevice(TitanX())
-	p := d.MeasurePower(0, sim.Second)
+	p := d.Measure(0, sim.Second).Power
 	if p.AvgW != d.Spec.Power.IdleW || p.MaxW != d.Spec.Power.IdleW {
 		t.Fatalf("idle power = %+v, want idle %v", p, d.Spec.Power.IdleW)
 	}
 	// Degenerate window.
-	p = d.MeasurePower(5, 5)
+	p = d.Measure(5, 5).Power
 	if p.AvgW != d.Spec.Power.IdleW {
 		t.Fatalf("empty window avg = %v", p.AvgW)
 	}
@@ -133,7 +133,7 @@ func TestPowerBusyKernel(t *testing.T) {
 	// One kernel for the full second at 50% of peak DRAM bandwidth.
 	bytes := int64(0.5 * spec.DRAMBps)
 	d.Kernel("k", sim.Second, 1e12, bytes)
-	p := d.MeasurePower(0, sim.Second)
+	p := d.Measure(0, sim.Second).Power
 	want := spec.Power.IdleW + spec.Power.ComputeW + 0.5*spec.Power.DRAMW
 	if diff := p.AvgW - want; diff > 0.5 || diff < -0.5 {
 		t.Fatalf("busy power = %.1f, want %.1f", p.AvgW, want)
@@ -150,13 +150,13 @@ func TestPowerOffloadRaisesPeak(t *testing.T) {
 	// Run 1: kernel only.
 	d1 := NewDevice(spec)
 	d1.Kernel("k", 100*sim.Millisecond, 1e12, 20e9)
-	p1 := d1.MeasurePower(0, 100*sim.Millisecond)
+	p1 := d1.Measure(0, 100*sim.Millisecond).Power
 
 	// Run 2: same kernel with a concurrent offload (vDNN's extra traffic).
 	d2 := NewDevice(spec)
 	d2.Kernel("k", 100*sim.Millisecond, 1e12, 20e9)
 	d2.Offload("off", 1<<30)
-	p2 := d2.MeasurePower(0, 100*sim.Millisecond)
+	p2 := d2.Measure(0, 100*sim.Millisecond).Power
 
 	if p2.MaxW <= p1.MaxW {
 		t.Fatalf("offload should raise peak power: %.1f vs %.1f", p2.MaxW, p1.MaxW)
@@ -175,7 +175,7 @@ func TestPowerPartialWindow(t *testing.T) {
 	d := NewDevice(spec)
 	d.Kernel("k", 100*sim.Millisecond, 1e12, 0)
 	// Window covering half busy, half idle.
-	p := d.MeasurePower(50*sim.Millisecond, 150*sim.Millisecond)
+	p := d.Measure(50*sim.Millisecond, 150*sim.Millisecond).Power
 	want := spec.Power.IdleW + 0.5*spec.Power.ComputeW
 	if diff := p.AvgW - want; diff > 0.5 || diff < -0.5 {
 		t.Fatalf("partial window avg = %.1f, want %.1f", p.AvgW, want)

@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -105,15 +104,6 @@ type Engine struct {
 
 // Ops returns every op executed on the engine, in issue order.
 func (e *Engine) Ops() []*Op { return e.ops }
-
-// BusyTime returns the total time the engine spent executing ops.
-func (e *Engine) BusyTime() Time {
-	var b Time
-	for _, o := range e.ops {
-		b += o.DurationT
-	}
-	return b
-}
 
 // Stream models a CUDA stream: a FIFO of ops that may map to different
 // hardware engines (e.g. a memory stream whose copies alternate between the
@@ -243,23 +233,4 @@ func (tl *Timeline) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Interval is a [Start, End) slice of engine activity used by the power and
-// bandwidth models.
-type Interval struct {
-	Start, End Time
-	Op         *Op
-}
-
-// BusyIntervals returns per-engine busy intervals sorted by start time.
-func (e *Engine) BusyIntervals() []Interval {
-	iv := make([]Interval, 0, len(e.ops))
-	for _, o := range e.ops {
-		if o.DurationT > 0 {
-			iv = append(iv, Interval{o.Start, o.End, o})
-		}
-	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i].Start < iv[j].Start })
-	return iv
 }

@@ -175,12 +175,12 @@ func TestSpanAndBusyTime(t *testing.T) {
 	if start != 0 || end != 25 {
 		t.Fatalf("span [%v,%v], want [0,25]", start, end)
 	}
-	if e.BusyTime() != 25 {
-		t.Fatalf("busy %v, want 25", e.BusyTime())
+	ops := e.Ops()
+	if len(ops) != 2 || ops[0].Start != 0 || ops[1].Start != 10 {
+		t.Fatalf("engine ops not back to back in issue order: %+v", ops)
 	}
-	iv := e.BusyIntervals()
-	if len(iv) != 2 || iv[0].Start != 0 || iv[1].Start != 10 {
-		t.Fatalf("bad intervals %+v", iv)
+	if busy := ops[0].DurationT + ops[1].DurationT; busy != 25 {
+		t.Fatalf("busy %v, want 25", busy)
 	}
 }
 
