@@ -55,7 +55,9 @@
 // all replica links off a root complex with bounded aggregate bandwidth,
 // over which every DMA — offload, prefetch, all-reduce — is arbitrated
 // without ever exceeding the aggregate. Result.Devices reports per-replica
-// step time, traffic, contention stalls and overlap efficiency; the
+// step time, traffic, contention stalls (extra DMA time versus a dedicated
+// link; under page migration only the all-reduce and inter-stage legs are
+// DMA, so only they count) and overlap efficiency; the
 // case-contention experiment of cmd/vdnn-repro and examples/multi-gpu show
 // the headline study (VGG-16 at 1/2/4/8 replicas).
 //

@@ -469,7 +469,9 @@ type DeviceResult struct {
 	// ContentionStall is the extra transfer time the shared interconnect
 	// cost this replica versus dedicated links: the sum over its DMA ops of
 	// (actual duration − dedicated-link DMA time). Zero on a dedicated
-	// topology.
+	// topology. Under page migration the offload and prefetch transfers are
+	// demand-paged, not DMA, and are left out; the all-reduce and
+	// inter-stage legs still cross the shared root as DMA and count.
 	ContentionStall sim.Time
 
 	// OverlapEff is the fraction of the replica's DMA busy time hidden

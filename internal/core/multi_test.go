@@ -257,3 +257,45 @@ func TestDeviceLimit(t *testing.T) {
 		t.Fatal("absurd device count accepted")
 	}
 }
+
+// TestContentionStallUnderPageMigration: page migration exempts only the
+// host transfers it carries (D2H/H2D) from the stall accounting. The
+// all-reduce legs still cross the shared root as DMA, so each replica's
+// stall is exactly its P2P ops' excess over their dedicated-link DMA time.
+func TestContentionStallUnderPageMigration(t *testing.T) {
+	c := multiCfg(VDNNAll, MemOptimal, 4, pcie.SharedGen3Root())
+	c.PageMigration = true
+	c.CaptureSchedule = true
+	r := run(t, vgg64, c)
+	checkResult(t, "page migration", r)
+	if r.OffloadBytes == 0 {
+		t.Fatal("no page-migrated offload traffic to exempt")
+	}
+	want := make([]sim.Time, len(r.Devices))
+	legs := make([]int64, len(r.Devices))
+	for _, op := range r.Schedule {
+		if op.Kind == "copyP2P" {
+			legs[op.Device]++
+		}
+	}
+	link := c.Spec.Link
+	for _, op := range r.Schedule {
+		if op.Kind != "copyP2P" {
+			continue
+		}
+		chunk := r.Devices[op.Device].AllReduceBytes / legs[op.Device]
+		if stall := op.End - op.Start - link.DMATime(chunk); stall > 0 {
+			want[op.Device] += stall
+		}
+	}
+	var total sim.Time
+	for i, d := range r.Devices {
+		if d.ContentionStall != want[i] {
+			t.Errorf("device %d stall %v, want its all-reduce legs' %v", d.Device, d.ContentionStall, want[i])
+		}
+		total += d.ContentionStall
+	}
+	if total <= 0 {
+		t.Fatal("4 replicas all-reducing over one x16 uplink and nobody stalled")
+	}
+}

@@ -67,7 +67,9 @@ type Measurement struct {
 
 	// ContentionStall is the time the shared interconnect added to the
 	// device's transfers: the sum over them of (duration − dedicated-link
-	// DMA time).
+	// DMA time). Under page migration the D2H and H2D transfers are
+	// demand-paged rather than DMA, so they are left out; P2P and
+	// inter-stage legs always count.
 	ContentionStall sim.Time
 
 	// Overlap is the copy time hidden under compute: the integral of the
@@ -144,7 +146,10 @@ func (d *Device) Measure(start, end sim.Time) Measurement {
 				case sim.OpCopyP2P:
 					m.AllReduceBytes += o.BusBytes
 				}
-				if !d.UsePageMigration {
+				// Page migration replaces only the host transfers' DMA;
+				// peer and inter-stage legs stay DMA and can still stall.
+				host := o.Kind == sim.OpCopyD2H || o.Kind == sim.OpCopyH2D
+				if !(d.UsePageMigration && host) {
 					if stall := o.DurationT - d.Spec.Link.DMATime(o.BusBytes); stall > 0 {
 						m.ContentionStall += stall
 					}

@@ -114,7 +114,7 @@ func referenceMeasure(d *Device, start, end sim.Time) Measurement {
 			m.CodecBusy += o.DurationT
 		default:
 			m.CopyBusy += o.DurationT
-			if !d.UsePageMigration {
+			if !d.UsePageMigration || o.Kind == sim.OpCopyP2P || o.Kind == sim.OpCopyStage {
 				m.ContentionStall += max(0, o.DurationT-d.Spec.Link.DMATime(o.BusBytes))
 			}
 		}
