@@ -10,11 +10,12 @@ import (
 )
 
 // assemble builds the Result of the measured window [winStart, winEnd).
-// Every cell's device is measured once (gpu.Device.Measure). Replica row 0 supplies the per-replica fields — pool usage, layer stats,
-// PeakByKind, framework memory, on-demand fetches and Power — merged across
-// its stages (replicas are symmetric, stages each own a slice of the
-// network); traffic, energy, host-pinned and inter-stage counters sum over
-// every cell. Devices carries per-device detail whenever the grid has more
+// Every cell's device is measured once (gpu.Device.Measure). Replica row 0
+// supplies the per-replica fields — pool usage, layer stats, PeakByKind,
+// framework memory, on-demand fetches and Power — merged across its stages
+// (replicas are symmetric, stages each own a slice of the network);
+// traffic, energy, host-pinned and inter-stage counters sum over every
+// cell. Devices carries per-device detail whenever the grid has more
 // than one cell, Stages per-stage detail when it has more than one stage,
 // and AllReduceTime is measured when there is more than one replica.
 func (g *grid) assemble(cfg Config, winStart, winEnd sim.Time) *Result {
