@@ -253,10 +253,14 @@
 // single-device simulation is capacity-independent apart from allocation
 // failure, so sweep points that differ only in device memory share one
 // structure — the simulated timeline plus the recorded allocator call
-// sequence — and every further capacity is priced by replaying that trace
-// against a pool of the right size instead of re-simulating (roughly a 6x
-// end-to-end reduction on a capacity sweep, and exact: a priced Result is
-// deeply equal to the full simulation's, untrainable points included). A
+// sequence — and every further capacity is priced from that trace instead
+// of re-simulating (roughly a 6x end-to-end reduction on a capacity sweep,
+// and exact: a priced Result is deeply equal to the full simulation's,
+// untrainable points included). Pricing rarely even replays the trace: one
+// replay against an unbounded pool, on first use, yields the trace's peak
+// usage (every smaller capacity fails) and a fit bound (every capacity at
+// or above it succeeds), and only a capacity in [peak, fit) is replayed
+// against a pool of its own size. A
 // configuration's first sweep point doubles as its structure build, so the
 // mechanism costs nothing when nothing is shared; the structure is an
 // ordinary engine cache entry, built by whichever request claims it first

@@ -19,13 +19,15 @@ import (
 // selection only). BuildStructureAt therefore runs the configuration once —
 // at its own capacity when it trains there, on an oracle-sized pool
 // otherwise — while recording the allocator call sequence (memalloc.Trace);
-// Price then evaluates the same configuration at any real
-// capacity by replaying that trace — a pure allocator exercise, no
-// re-simulation — and reuses the structure's Result wholesale when the replay
-// succeeds. The replay's first failure is byte-for-byte the failure a full
-// simulation would hit, so untrainable points re-run the real attempt only to
-// reproduce the exact failure chain, and reuse the structure as the oracle
-// demand report runStatic would otherwise re-simulate.
+// Price then evaluates the same configuration at any real capacity from that
+// trace alone — no re-simulation — and reuses the structure's Result
+// wholesale when the trace fits. Two bounds, computed once per trace by one
+// replay against an unbounded pool, decide most capacities in O(1): below
+// the trace's peak usage the point is untrainable, at or above its fit bound
+// it trains; only a capacity inside [peak, fit) is replayed. An untrainable
+// point re-runs the real attempt only to reproduce the exact failure chain,
+// and reuses the structure as the oracle demand report runStatic would
+// otherwise re-simulate.
 //
 // Everything here is exact, never approximate: a priced Result is
 // reflect.DeepEqual to the full simulation's (the sweep engine's equivalence
@@ -75,16 +77,16 @@ type Structure struct {
 	trace *memalloc.Trace
 }
 
-// TraceLen returns the recorded allocator call count (diagnostics).
-func (s *Structure) TraceLen() int { return s.trace.Len() }
-
 // Price evaluates cfg — the structure's configuration at a real device
-// capacity — by replaying the recorded allocator trace. The bool reports
+// capacity — by asking whether the recorded allocator trace fits it
+// (memalloc.Trace.Fits: O(1) outside [peak, fit), a replay inside). Below
+// the trace's peak that answer is certain without a replay, so such a point
+// goes straight to the failing attempt below. The bool reports
 // whether pricing applied; false means the caller must run the full path
 // (the classifier-exceeds-capacity report needs the real failure chain).
 // When pricing applies, the Result is byte-identical to runStatic's: the
 // structure's Result with the Oracle flag patched on success, or — when the
-// replay proves the point untrainable — the real attempt's exact failure
+// trace proves the point untrainable — the real attempt's exact failure
 // wrapped around the structure's demand report.
 func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*Result, bool, error) {
 	if ctx == nil {
@@ -101,7 +103,7 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 	if realCap <= 0 {
 		return nil, false, nil
 	}
-	if err := s.trace.Replay(realCap); err == nil {
+	if s.trace.Fits(realCap) {
 		r := *s.Res
 		r.Oracle = cfg.Oracle
 		return &r, true, nil
@@ -120,7 +122,7 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 	}
 	res, runErr := execute(ctx, net, cfg, pol, plan)
 	if runErr == nil {
-		// The replay and the run disagree — impossible by construction, but
+		// The trace and the run disagree — impossible by construction, but
 		// the full run's result is authoritative either way.
 		return res, true, nil
 	}

@@ -251,7 +251,16 @@ func (n *Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("dnn: %s has no layers", n.Name)
 	}
-	seen := map[*Tensor]bool{n.Input: true}
+	// seen is indexed by Tensor.ID; own rejects a tensor whose ID does not
+	// index n.Tensors back to itself before seen is indexed with it.
+	own := func(t *Tensor) bool {
+		return t != nil && t.ID >= 0 && t.ID < len(n.Tensors) && n.Tensors[t.ID] == t
+	}
+	if !own(n.Input) {
+		return fmt.Errorf("dnn: %s input is not in its tensor list", n.Name)
+	}
+	seen := make([]bool, len(n.Tensors))
+	seen[n.Input.ID] = true
 	for i, l := range n.Layers {
 		if l.ID != i {
 			return fmt.Errorf("dnn: layer %q has ID %d at position %d", l.Name, l.ID, i)
@@ -259,19 +268,25 @@ func (n *Network) Validate() error {
 		if len(l.Inputs) == 0 {
 			return fmt.Errorf("dnn: layer %q has no inputs", l.Name)
 		}
-		for _, in := range l.Inputs {
-			if !seen[in] {
+		for j, in := range l.Inputs {
+			if !own(in) {
+				return fmt.Errorf("dnn: layer %q input %d is not in the network's tensor list", l.Name, j)
+			}
+			if !seen[in.ID] {
 				return fmt.Errorf("dnn: layer %q consumes tensor %d before production", l.Name, in.ID)
 			}
 		}
 		if l.Output == nil {
 			return fmt.Errorf("dnn: layer %q has no output", l.Name)
 		}
-		seen[l.Output] = true
+		if !own(l.Output) {
+			return fmt.Errorf("dnn: layer %q output is not in the network's tensor list", l.Name)
+		}
+		seen[l.Output.ID] = true
 		if l.InPlace && l.Output != l.Inputs[0] {
 			return fmt.Errorf("dnn: in-place layer %q with distinct output", l.Name)
 		}
-		if !l.InPlace && seen[l.Output] && l.Output.Producer != l {
+		if !l.InPlace && l.Output.Producer != l {
 			return fmt.Errorf("dnn: layer %q writes tensor %d owned by %q", l.Name, l.Output.ID, l.Output.Producer.Name)
 		}
 	}

@@ -211,6 +211,31 @@ func TestValidateCatchesCycleish(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsForeignTensors: a tensor whose ID does not index the
+// network's tensor list back to itself is an error, never an index panic.
+func TestValidateRejectsForeignTensors(t *testing.T) {
+	for name, corrupt := range map[string]func(n *Network){
+		"input ID out of range":  func(n *Network) { n.Layers[0].Inputs = []*Tensor{{ID: len(n.Tensors)}} },
+		"input ID negative":      func(n *Network) { n.Layers[1].Inputs = []*Tensor{{ID: -1}} },
+		"input aliases a slot":   func(n *Network) { n.Layers[1].Inputs = []*Tensor{{ID: n.Layers[0].Output.ID}} },
+		"nil input":              func(n *Network) { n.Layers[1].Inputs = []*Tensor{nil} },
+		"output ID out of range": func(n *Network) { n.Layers[0].Output = &Tensor{ID: 99} },
+		"network input foreign":  func(n *Network) { n.Input = &Tensor{ID: 0} },
+	} {
+		b := NewBuilder("net", 2, tensor.Float32)
+		x := b.Input(3, 8, 8)
+		b.Conv(b.Conv(x, "conv1", 4, 3, 1, 1), "conv2", 4, 3, 1, 1)
+		n, err := b.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(n)
+		if err := n.Validate(); err == nil {
+			t.Errorf("%s: validate accepted the corrupted network", name)
+		}
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder("bad", 2, tensor.Float32)
 	x := b.Input(3, 8, 8)

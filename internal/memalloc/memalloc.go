@@ -181,8 +181,8 @@ type Pool struct {
 	peakByKind [numKinds]int64
 
 	// trace, when non-nil, records every Alloc/Free/Flush for differential
-	// replay (see trace.go). metricsOff suppresses the usage timeline for
-	// replay pools, whose only output is the success/failure verdict.
+	// pricing (see trace.go). metricsOff suppresses the usage timeline for
+	// replay pools, whose only outputs are the verdict and the bounds.
 	trace      *Trace
 	metricsOff bool
 

@@ -1,6 +1,10 @@
 package memalloc
 
-import "vdnn/internal/sim"
+import (
+	"sync"
+
+	"vdnn/internal/sim"
+)
 
 // Allocation-trace recording for differential sweep evaluation.
 //
@@ -9,13 +13,32 @@ import "vdnn/internal/sim"
 // *structure* (network, policy, algorithms, schedule), never of the pool's
 // capacity, as long as every allocation succeeds: capacity feeds back into
 // the simulation only through allocation failure (and through LargestFree,
-// which only greedy algorithm selection consults). A trace recorded against
-// an effectively infinite pool can therefore be replayed against any real
-// capacity, and the replay's first failure is byte-for-byte the failure the
-// full simulation would have hit — while a clean replay proves the full
-// simulation would have succeeded with an identical timeline. That
-// equivalence is what lets the sweep engine price a capacity/batch sweep
-// point with one allocator replay instead of a whole re-simulation.
+// which only greedy algorithm selection consults). A trace recorded at one
+// capacity therefore decides every other capacity: a full simulation there
+// succeeds, with an identical timeline, exactly when the recorded calls all
+// succeed against a pool of that size. That equivalence is what lets the
+// sweep engine price a capacity/batch sweep point without re-simulating.
+//
+// Most capacities need not even be replayed. One replay against an
+// unbounded pool (capacity c0) yields two bounds:
+//
+//   - peak, the high-water of bytes in use. Usage depends only on the call
+//     sequence and the rounded sizes, never on placement, so every capacity
+//     below peak fails.
+//   - fit = c0 − g, where g is the smallest largest-free-span seen right
+//     after an Alloc. On the unbounded pool the largest span is always the
+//     middle gap between the bottom arena (first fit, ascending) and the top
+//     arena (big feature maps, last fit, descending). Shrinking the capacity
+//     by Δ moves every top-arena block, hole and binned span down by Δ and
+//     shrinks the middle gap by Δ; nothing else changes. First fit still
+//     reaches the bottom holes before the gap, last fit still reaches the
+//     top holes before it, the bins hold the same sizes, and no allocation
+//     misses, so no bin flush happens. While the gap stays ≥ 0 after every
+//     Alloc — that is, for Δ ≤ g — every placement is the unbounded run's,
+//     shifted, so every capacity ≥ fit succeeds.
+//
+// Fits answers outside [peak, fit) from the bounds alone and replays only
+// inside that band.
 
 type traceKind uint8
 
@@ -37,18 +60,24 @@ type traceOp struct {
 	label string
 }
 
-// Trace is a recorded allocator call sequence.
+// Trace is a recorded allocator call sequence. Once recording ends it is
+// read-only and safe to share: Fits may be called from several goroutines.
 type Trace struct {
 	ops    []traceOp
 	blocks int32
+
+	// The capacity bounds, computed on first use by one unbounded replay.
+	bounds    sync.Once
+	peak, fit int64
 }
 
-// Len returns the number of recorded calls.
-func (tr *Trace) Len() int { return len(tr.ops) }
+// unbounded is the capacity of the pool the bounds are computed against:
+// far above any simulated device, so its middle gap is always its largest
+// free span.
+const unbounded = 1 << 62
 
 // NewTraced creates a pool that records every Alloc, Free and Flush into tr
-// in call order. The recorded sequence can be replayed against a different
-// capacity with Replay.
+// in call order. The recorded sequence decides other capacities with Fits.
 func NewTraced(capacity int64, tr *Trace) *Pool {
 	p := New(capacity)
 	p.trace = tr
@@ -69,18 +98,35 @@ func (tr *Trace) recordFlush(t sim.Time) {
 	tr.ops = append(tr.ops, traceOp{op: traceFlush, t: t})
 }
 
-// Replay re-executes the recorded call sequence against a fresh pool of the
-// given capacity and returns the first allocation failure, or nil if every
-// call succeeds. Because the pool is a deterministic function of its call
-// sequence, a nil return proves a full simulation at this capacity would
-// make exactly these calls and succeed; a non-nil return is the *OOMError
-// that simulation's first failing allocation would produce.
-func (tr *Trace) Replay(capacity int64) error {
-	if capacity <= 0 {
-		return &OOMError{Need: 1, Capacity: capacity}
+// Fits reports whether the recorded call sequence succeeds against a pool of
+// the given capacity. Because the pool is a deterministic function of its
+// call sequence, true proves a full simulation at this capacity would make
+// exactly these calls and succeed; false proves one of its allocations
+// fails. Capacities outside [peak, fit) are decided without a replay.
+func (tr *Trace) Fits(capacity int64) bool {
+	tr.bounds.Do(func() {
+		var gap int64
+		tr.peak, gap, _ = tr.replay(unbounded)
+		tr.fit = unbounded - gap
+	})
+	switch {
+	case capacity <= 0 || capacity < tr.peak:
+		return false
+	case capacity >= tr.fit:
+		return true
 	}
+	_, _, ok := tr.replay(capacity)
+	return ok
+}
+
+// replay re-executes the recorded call sequence against a fresh pool of the
+// given capacity. It reports whether every call succeeded, the pool's peak
+// usage, and the smallest largest-free-span seen right after an Alloc (the
+// capacity itself when nothing was allocated).
+func (tr *Trace) replay(capacity int64) (peak, minFree int64, ok bool) {
 	p := New(capacity)
 	p.metricsOff = true // the verdict needs no usage timeline
+	minFree = capacity
 	blocks := make([]*Block, tr.blocks)
 	for i := range tr.ops {
 		o := &tr.ops[i]
@@ -88,14 +134,17 @@ func (tr *Trace) Replay(capacity int64) error {
 		case traceAlloc:
 			b, err := p.Alloc(o.t, o.size, o.kind, o.label)
 			if err != nil {
-				return err
+				return p.peak, minFree, false
 			}
 			blocks[o.ref] = b
+			if m := p.free.MaxSize(); m < minFree {
+				minFree = m
+			}
 		case traceFree:
 			p.Free(blocks[o.ref], o.t)
 		case traceFlush:
 			p.Flush(o.t)
 		}
 	}
-	return nil
+	return p.peak, minFree, true
 }

@@ -377,3 +377,36 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialSweepCounters pins, in exact counters, what the
+// differential path buys on the shape of the root BenchmarkDifferentialSweep
+// (AlexNet(128), twelve capacities, three static columns): one structure per
+// column, every other point priced from it, and not one extra computation.
+// Unlike the benchmark's wall-clock reduction, these numbers cannot flake.
+func TestDifferentialSweepCounters(t *testing.T) {
+	net := networks.AlexNet(128)
+	var jobs []Job
+	for _, memGB := range []int64{1, 2, 3, 4, 6, 8, 10, 12, 16, 24, 32, 48} {
+		spec := gpu.TitanX().WithMemory(memGB << 30)
+		for _, pa := range []struct {
+			p core.Policy
+			a core.AlgoMode
+		}{
+			{core.Baseline, core.PerfOptimal},
+			{core.VDNNAll, core.MemOptimal},
+			{core.VDNNConv, core.PerfOptimal},
+		} {
+			jobs = append(jobs, Job{Net: net, Cfg: core.Config{Spec: spec, Policy: pa.p, Algo: pa.a}})
+		}
+	}
+	eng := NewEngine(1)
+	if _, err := eng.RunAll(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	// Each column's first point builds its structure; the other eleven are
+	// priced, each hitting the structure's cache entry once.
+	want := Stats{Simulations: 36, Structures: 3, Priced: 33, Hits: 33}
+	if st := eng.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+}

@@ -16,8 +16,9 @@
 //   - differential evaluation: sweep points that share a capacity-independent
 //     structure (core.StructureShaped) are simulated once — the first point
 //     to ask builds the structure at its own capacity — and every other
-//     capacity is re-priced by replaying the recorded allocator trace: the
-//     same Results, a fraction of the work. The structure is an ordinary
+//     capacity is re-priced from the recorded allocator trace (two bounds
+//     decide most capacities; the rest replay it): the same Results, a
+//     fraction of the work. The structure is an ordinary
 //     cache entry under a capacity-free key, resolved nested inside the
 //     requesting computation, so it shares the one entry lifecycle
 //     (claim, coalesce, cancel, uncache on error) with every other key.
@@ -139,9 +140,9 @@ type Stats struct {
 	// request itself is an oracle run).
 	Structures int64 `json:"structures"`
 	// Priced is the number of results served from a structure built by
-	// another request — a replay of its allocator trace, or a clone of its
-	// Result for an oracle request — instead of a full simulation: the work
-	// the differential path avoided. The request that builds a structure
+	// another request — a fit decision on its allocator trace, or a clone of
+	// its Result for an oracle request — instead of a full simulation: the
+	// work the differential path avoided. The request that builds a structure
 	// counts under Structures only, whether it is an oracle request or not.
 	Priced int64 `json:"priced"`
 	// Hits is the number of requests served from a completed cache entry.
