@@ -152,30 +152,31 @@ func (e *explorer) capacitySweep(batch int) {
 	t.Render(os.Stdout)
 }
 
-// linkVariant rewires the offload interconnect.
-func linkVariant(name string) plan.Variant {
-	link := mustLink(name)
-	return plan.Variant{Label: link.Name, Apply: func(c vdnn.Config) vdnn.Config {
-		c.Spec.Link = link
-		return c
-	}}
-}
-
 func (e *explorer) linkSweep(batch int) {
-	links := plan.Axis{linkVariant("pcie2"), linkVariant("pcie3"), linkVariant("nvlink")}
+	// Resolve each link once: a variant's Label is the link's display name,
+	// which the registry does not look up.
+	var links []vdnn.Link
+	var axis plan.Axis
+	for _, name := range []string{"pcie2", "pcie3", "nvlink"} {
+		link := mustLink(name)
+		links = append(links, link)
+		axis = append(axis, plan.Variant{Label: link.Name, Apply: func(c vdnn.Config) vdnn.Config {
+			c.Spec.Link = link
+			return c
+		}})
+	}
 	n := e.net(batch)
 	jobs := []vdnn.BatchJob{
 		{Net: n, Cfg: vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNConv, Algo: vdnn.MemOptimal, Oracle: true}},
 	}
 	jobs = append(jobs, e.cross(n,
-		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal, Oracle: true}, links)...)
+		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal, Oracle: true}, axis)...)
 	res := e.runAll(jobs)
 	oracle := res[0]
 
 	t := report.NewTable(fmt.Sprintf("interconnect sweep — %s (%d), vDNN-all(m)", e.name, batch),
 		"link", "eff GB/s", "FE (ms)", "offload stalls hidden?")
-	for i, v := range links {
-		link := mustLink(v.Label)
+	for i, link := range links {
 		r := res[i+1]
 		hidden := "partly"
 		if float64(r.FETime) <= 1.02*float64(oracle.FETime) {

@@ -260,7 +260,9 @@
 // replay against an unbounded pool, on first use, yields the trace's peak
 // usage (every smaller capacity fails) and a fit bound (every capacity at
 // or above it succeeds), and only a capacity in [peak, fit) is replayed
-// against a pool of its own size. A
+// against a pool of its own size. An untrainable point still runs its
+// failing attempt, for the exact failure chain, but takes its oracle demand
+// report from the structure instead of a rerun. A
 // configuration's first sweep point doubles as its structure build, so the
 // mechanism costs nothing when nothing is shared; the structure is an
 // ordinary engine cache entry, built by whichever request claims it first

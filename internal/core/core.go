@@ -580,7 +580,7 @@ func RunContextWith(ctx context.Context, net *dnn.Network, cfg Config, runSub Si
 	if prof, ok := pol.(Profiler); ok {
 		return prof.Profile(net, cfg, profileSimulateWith(ctx, net, runSub))
 	}
-	return runStatic(ctx, net, cfg, pol)
+	return runStatic(ctx, net, cfg, pol, nil)
 }
 
 // validateConfig runs the full validation chain on a normalized
@@ -607,15 +607,32 @@ func validateConfig(net *dnn.Network, cfg Config) (OffloadPolicy, error) {
 	return cfg.policyImpl()
 }
 
-// runStatic simulates one non-profiling configuration, falling back to an
-// oracular rerun to report the hypothetical demand when it cannot train.
-func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy) (*Result, error) {
+// runStatic simulates one non-profiling configuration; when it cannot train,
+// the Result is the failure wrapped around the configuration's demand on an
+// oracle-sized pool, the hypothetical-demand report of Figure 11's starred
+// bars. st selects what backs that report:
+//
+//   - nil: an oracle rerun of the same plan;
+//   - empty (st.Res == nil): the same, and st records the structure — the
+//     allocator trace and oracle Result of whichever run trained (the run at
+//     cfg's own capacity when it trains, the oracle rerun otherwise);
+//   - filled: st.Res stands in for the oracle rerun, which is never run.
+func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, st *Structure) (*Result, error) {
 	plan, err := buildPlan(net, cfg, pol)
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := execute(ctx, net, cfg, pol, plan)
+	var tr *memalloc.Trace
+	if st != nil && st.Res == nil {
+		tr = &memalloc.Trace{}
+	}
+	res, runErr := execute(ctx, net, cfg, pol, plan, tr)
 	if runErr == nil {
+		if tr != nil {
+			oracle := *res
+			oracle.Oracle = true
+			st.Res, st.trace = &oracle, tr
+		}
 		return res, nil
 	}
 	if errors.Is(runErr, ErrCanceled) {
@@ -623,14 +640,24 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 		// simulation on a request nobody is waiting for.
 		return nil, runErr
 	}
-	// OOM: report the hypothetical demand on an oracular device.
+	if st != nil && st.Res != nil {
+		return untrainable(st.Res, cfg, runErr), nil
+	}
+	// OOM: report the hypothetical demand on an oracular device. The failure
+	// cut the recorded trace short, so a recording run records afresh.
+	if tr != nil {
+		tr = &memalloc.Trace{}
+	}
 	oracleCfg := cfg
 	oracleCfg.Oracle = true
-	res, err = execute(ctx, net, oracleCfg, pol, plan)
+	oracle, err := execute(ctx, net, oracleCfg, pol, plan, tr)
 	if err != nil {
 		return nil, fmt.Errorf("core: oracle rerun failed: %w", err)
 	}
-	return untrainable(res, cfg, runErr), nil
+	if tr != nil {
+		st.Res, st.trace = oracle, tr
+	}
+	return untrainable(oracle, cfg, runErr), nil
 }
 
 // untrainable is the report of a configuration that failed at its real
@@ -651,23 +678,20 @@ func untrainable(oracle *Result, cfg Config, runErr error) *Result {
 	return &r
 }
 
-// profileSimulate builds the Simulate callback handed to a profiling policy:
-// one static candidate per call, (nil, nil) when the candidate cannot train.
-// An execution failure on an oracle-sized pool is never plain memory
+// profileSimulateWith builds the Simulate callback handed to a profiling
+// policy: one static candidate per call, (nil, nil) when the candidate cannot
+// train. An execution failure on an oracle-sized pool is never plain memory
 // oversubscription, so it propagates with its cause instead of reading as
 // "untrainable" — profilers lean on oracle runs for their fallback
 // diagnostics. The caller's context is bound into the callback, so a
 // canceled request aborts every profiling candidate too (a canceled
 // candidate propagates its error instead of reading as "untrainable").
-func profileSimulate(ctx context.Context, net *dnn.Network) Simulate {
-	return profileSimulateWith(ctx, net, nil)
-}
-
-// profileSimulateWith is profileSimulate with the candidate execution
-// optionally delegated to runSub (a runStatic-equivalent callback, usually a
-// cache front). The Simulate contract is translated either way: an
-// untrainable candidate reads as (nil, nil), and results served by runSub are
-// cloned before the profiler mutates them (they may be cache-shared).
+//
+// The candidate execution is optionally delegated to runSub (a
+// runStatic-equivalent callback, usually a cache front). The Simulate
+// contract is translated either way: an untrainable candidate reads as
+// (nil, nil), and results served by runSub are cloned before the profiler
+// mutates them (they may be cache-shared).
 func profileSimulateWith(ctx context.Context, net *dnn.Network, runSub Simulate) Simulate {
 	return func(sub Config) (*Result, error) {
 		if ctx.Err() != nil {
@@ -696,7 +720,7 @@ func profileSimulateWith(ctx context.Context, net *dnn.Network, runSub Simulate)
 		if err != nil {
 			return nil, err
 		}
-		res, runErr := execute(ctx, net, sub, pol, plan)
+		res, runErr := execute(ctx, net, sub, pol, plan, nil)
 		if runErr != nil {
 			if errors.Is(runErr, ErrCanceled) {
 				return nil, runErr

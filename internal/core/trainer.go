@@ -45,9 +45,9 @@ type grid struct {
 // untrainable). plan is the full-network plan every replica follows; a
 // pipeline instead derives one plan per stage from the policy. A done ctx
 // aborts the run at the next layer boundary with an ErrCanceled-wrapping
-// error. The allocator trace carried by ctx (withAllocTrace), if any, is
-// attached to the vDNN pool; only single-device configurations carry one.
-func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan) (*Result, error) {
+// error. tr, when non-nil, records the vDNN pool's allocator calls; only
+// structure-shaped (single-device) configurations pass one.
+func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan, tr *memalloc.Trace) (*Result, error) {
 	R, S := cfg.Devices, cfg.Stages
 	parts := []partition.Stage{{Lo: 0, Hi: len(net.Layers)}}
 	var bounds []stageBoundary
@@ -79,7 +79,6 @@ func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolic
 			g.gradRecv[i] = make([]*sim.Op, g.M)
 		}
 	}
-	tr := allocTraceFrom(ctx)
 	for r := range g.cells {
 		g.cells[r] = make([]*runtime, S)
 		for s, pr := range parts {

@@ -292,7 +292,7 @@ func TestPricedCountsOnlyStructureServedResults(t *testing.T) {
 // TestDifferentialRandomConfigs widens the equivalence guarantee beyond the
 // hand-picked grids: seeded random sweeps over network, batch, policy,
 // algorithm, codec and device/stage shape, each column swept over random
-// capacities — oracle requests, the sentinel capacity, untrainable
+// capacities — oracle requests, a 1 TiB capacity, untrainable
 // capacities and repeated keys among them — must come out of the production
 // engine at parallelism > 1 reflect.DeepEqual to the full-simulation
 // reference.
@@ -301,7 +301,7 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 		networks.AlexNet(32), networks.AlexNet(128), networks.GoogLeNet(32),
 		networks.VGG16(32), networks.ResNet50(16),
 	}
-	caps := []int64{256 << 20, 1 << 30, 2 << 30, 3 << 30, 4 << 30, 8 << 30, 12 << 30, oracleMemSentinel}
+	caps := []int64{256 << 20, 1 << 30, 2 << 30, 3 << 30, 4 << 30, 8 << 30, 12 << 30, 1 << 40}
 	policies := []core.Policy{core.Baseline, core.VDNNAll, core.VDNNConv, core.VDNNDyn}
 	algos := []core.AlgoMode{core.MemOptimal, core.PerfOptimal, core.GreedyAlgo}
 	codecs := []compress.Codec{compress.CodecNone, compress.CodecZVC, compress.CodecRLE}

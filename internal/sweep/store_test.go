@@ -73,44 +73,54 @@ func TestStoreWarmStart(t *testing.T) {
 	}
 }
 
-// TestStoreStructureProbesNotPersisted runs an oracle request — which IS its
-// own structure key — and checks the engine neither loads nor saves it: the
-// structure's allocator trace cannot cross processes, and a store-served
-// oracle Result would silently disable differential pricing.
+// TestStoreStructureProbesNotPersisted checks that the store holds requests,
+// never structures: a capacity sweep — an oracle request at 1 TiB among its
+// points — writes exactly one record per point, and a second engine over the
+// same directory, served those points from disk, still builds a live
+// structure to price the capacities the store has not seen. A structure's
+// allocator trace cannot cross processes.
 func TestStoreStructureProbesNotPersisted(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir)
+	ctx := context.Background()
+	net := networks.AlexNet(32)
+	const n = 3
+	jobs := capacitySweep(net, n+2)
+	oracle := jobs[0]
+	oracle.Cfg.Spec = oracle.Cfg.Spec.WithMemory(1 << 40)
+	oracle.Cfg.Oracle = true
+	seen := append(jobs[:n:n], oracle)
+
+	st1, err := store.Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	e := NewEngine(1)
-	e.SetStore(st)
-
-	net := networks.AlexNet(32)
-	spec := gpu.TitanX()
-	spec.MemBytes = oracleMemSentinel
-	spec.ReservedBytes = 0
-	cfg := core.Config{Spec: spec, Policy: core.VDNNAll, Oracle: true}
-	if k := keyOf(net, cfg); k != structureKey(k) {
-		t.Fatalf("test setup: config is not its own structure key")
+	e1 := NewEngine(1)
+	e1.SetStore(st1)
+	if _, err := e1.RunAll(ctx, seen); err != nil {
+		t.Fatalf("cold RunAll: %v", err)
 	}
-	if _, err := e.Run(context.Background(), net, cfg); err != nil {
-		t.Fatalf("Run: %v", err)
+	if s := e1.Stats(); s.Structures != 1 {
+		t.Fatalf("cold engine stats = %+v, want 1 structure", s)
 	}
-	if s := st.Stats(); s.Writes != 0 || s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("structure probe touched the store: %+v", s)
+	if s := st1.Stats(); s.Writes != int64(len(seen)) || s.Records != int64(len(seen)) {
+		t.Errorf("cold store stats = %+v, want %d writes and records, one per point", s, len(seen))
 	}
 
-	// A warm engine over the same dir must rebuild the structure, not lose
-	// the differential path: the capacity sweep still prices from a live
-	// structure even though its points come back from the store next time.
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
 	e2 := NewEngine(1)
-	e2.SetStore(st)
-	if _, err := e2.RunAll(context.Background(), capacitySweep(net, 3)); err != nil {
-		t.Fatalf("RunAll: %v", err)
+	e2.SetStore(st2)
+	if _, err := e2.RunAll(ctx, append(seen, jobs[n:]...)); err != nil {
+		t.Fatalf("warm RunAll: %v", err)
 	}
-	if s := e2.Stats(); s.Structures == 0 {
-		t.Errorf("differential path inactive alongside store: %+v", s)
+	unseen := int64(len(jobs) - n)
+	if s := e2.Stats(); s.Simulations != unseen || s.Structures != 1 || s.Priced != unseen-1 {
+		t.Errorf("warm engine stats = %+v, want %d simulations, 1 structure, %d priced", s, unseen, unseen-1)
+	}
+	if s := st2.Stats(); s.Hits != int64(len(seen)) || s.Writes != unseen {
+		t.Errorf("warm store stats = %+v, want %d hits, %d writes", s, len(seen), unseen)
 	}
 }
 

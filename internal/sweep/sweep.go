@@ -16,12 +16,11 @@
 //   - differential evaluation: sweep points that share a capacity-independent
 //     structure (core.StructureShaped) are simulated once — the first point
 //     to ask builds the structure at its own capacity — and every other
-//     capacity is re-priced from the recorded allocator trace (two bounds
-//     decide most capacities; the rest replay it): the same Results, a
-//     fraction of the work. The structure is an ordinary
-//     cache entry under a capacity-free key, resolved nested inside the
-//     requesting computation, so it shares the one entry lifecycle
-//     (claim, coalesce, cancel, uncache on error) with every other key.
+//     point is priced from it by core.Structure.Price: the same Results, a
+//     fraction of the work. The structure is an ordinary cache entry under
+//     a capacity-free key (structureKey), resolved nested inside the
+//     requesting computation, so it shares the one entry lifecycle (claim,
+//     coalesce, cancel, uncache on error) with every other key.
 //
 // The cache is sharded by key hash so concurrent hits on distinct keys do not
 // contend on one mutex; eviction bookkeeping stays global (FIFO order across
@@ -61,11 +60,13 @@ type Job struct {
 // distinct graphs that are free to diverge), the configuration by its
 // normalized value. A custom policy is keyed by its Name — the OffloadPolicy
 // contract — which keeps the key comparable whatever the policy's dynamic
-// type is made of.
+// type is made of. structure marks the capacity-free key of a differential
+// structure (structureKey); no request's key ever has it set.
 type key struct {
-	net    *dnn.Network
-	cfg    core.Config
-	policy string
+	net       *dnn.Network
+	cfg       core.Config
+	policy    string
+	structure bool
 }
 
 func keyOf(net *dnn.Network, cfg core.Config) key {
@@ -77,21 +78,13 @@ func keyOf(net *dnn.Network, cfg core.Config) key {
 	return k
 }
 
-// oracleMemSentinel is the device-memory value substituted into every
-// structure key. A structure is capacity-independent by construction, so
-// every capacity ablation of one configuration normalizes to a single
-// structure entry; the sentinel is just "a capacity", chosen absurdly large
-// so a colliding genuine user request (an Oracle simulation of a 1 TiB
-// device) is served the exact result it would have computed anyway.
-const oracleMemSentinel = 1 << 40
-
-// structureKey normalizes a structure-shaped key to its capacity-independent
-// form: the oracle simulation at the sentinel capacity. Every sweep point
-// differing only in MemBytes/ReservedBytes/Oracle maps to the same structure
-// entry. Idempotent: structureKey(structureKey(k)) == structureKey(k).
+// structureKey maps a structure-shaped request's key to the key of its
+// capacity-independent structure: every sweep point differing only in
+// MemBytes/ReservedBytes/Oracle maps to the same structure entry.
 func structureKey(k key) key {
-	k.cfg.Oracle = true
-	k.cfg.Spec.MemBytes = oracleMemSentinel
+	k.structure = true
+	k.cfg.Oracle = false
+	k.cfg.Spec.MemBytes = 0
 	k.cfg.Spec.ReservedBytes = 0
 	return k
 }
@@ -139,11 +132,12 @@ type Stats struct {
 	// oracle-capacity builds when that first point is untrainable or the
 	// request itself is an oracle run).
 	Structures int64 `json:"structures"`
-	// Priced is the number of results served from a structure built by
-	// another request — a fit decision on its allocator trace, or a clone of
-	// its Result for an oracle request — instead of a full simulation: the
-	// work the differential path avoided. The request that builds a structure
-	// counts under Structures only, whether it is an oracle request or not.
+	// Priced is the number of results core.Structure.Price answered from a
+	// structure built by another request instead of a full simulation: the
+	// work the differential path avoided. An untrainable point counts too —
+	// it still runs its failing attempt, but takes its demand report from
+	// the structure. The request that builds a structure counts under
+	// Structures only, whether it is an oracle request or not.
 	Priced int64 `json:"priced"`
 	// Hits is the number of requests served from a completed cache entry.
 	Hits int64 `json:"hits"`
@@ -197,7 +191,7 @@ type Engine struct {
 
 	// store, when set, extends the in-memory cache with a persistent
 	// read/write-through layer (SetStore). Loaded before a claimed
-	// computation simulates, written after it succeeds; structure probes
+	// computation simulates, written after it succeeds; structure entries
 	// (whose value is in-process allocator state) are never stored.
 	store ResultStore
 
@@ -293,7 +287,7 @@ type ResultStore interface {
 // first consults the store, and a hit is returned without simulating (it
 // does not count toward Stats.Simulations, so a fully warm store means zero
 // simulations). Successful results are written through after computing.
-// Structure probes are exempt in both directions: their value is the
+// Structure entries are exempt in both directions: their value is the
 // in-process allocator trace, which is not meaningful across processes.
 // Set it before the engine serves traffic — it is read without locking on
 // the hot path.
@@ -608,7 +602,7 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 			// is what lets a restarted daemon serve a repeated sweep with zero
 			// re-simulations. Structure keys are exempt: their entries carry
 			// the in-process allocator trace a stored Result cannot.
-			persistable := e.store != nil && k != structureKey(k)
+			persistable := e.store != nil && !k.structure
 			if persistable {
 				if res, ok := e.store.Load(net, runCfg); ok {
 					ent.res = res
@@ -647,58 +641,35 @@ func (e *Engine) resolve(ctx context.Context, net *dnn.Network, custom core.Offl
 // nested under structureKey(k); when this request claims it, the build runs
 // at the request's own configuration, so a configuration's first sweep point
 // costs one simulation and still leaves the structure behind for its
-// siblings. Every other request is served from the structure: an oracle
-// request by a clone of its Result, a real capacity by Price.
+// siblings. Every other request is priced from the structure. A failed build
+// — an invalid configuration, say — falls through to the full path, which
+// reproduces the exact error: a structure bug must never mask a real result.
 func (e *Engine) compute(runCtx context.Context, net *dnn.Network, cfg core.Config, k key) (*core.Result, *core.Structure, error) {
-	if e.fullSim || cfg.Custom != nil || !core.StructureShaped(cfg) || core.ValidateRun(net, cfg) != nil {
-		res, err := e.runFull(runCtx, net, cfg)
-		return res, nil, err
-	}
-	var own *core.Result // the builder's own Result, when this request built the structure
-	build := func(runCtx context.Context, net *dnn.Network, _ core.Config, _ key) (*core.Result, *core.Structure, error) {
-		st, res, err := core.BuildStructureAt(runCtx, net, cfg)
-		if err != nil {
+	if !e.fullSim && cfg.Custom == nil && core.StructureShaped(cfg) {
+		var own *core.Result // the builder's own Result, when this request built the structure
+		build := func(runCtx context.Context, net *dnn.Network, _ core.Config, _ key) (*core.Result, *core.Structure, error) {
+			st, res, err := core.BuildStructureAt(runCtx, net, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			e.stats.structures.Add(1)
+			own = res
+			return st.Res, st, nil
+		}
+		_, st, err := e.resolve(runCtx, net, nil, structureKey(k), false, build)
+		switch {
+		case own != nil:
+			return own, nil, nil
+		case err == nil:
+			res, _, err := st.Price(runCtx, net, cfg)
+			if err == nil {
+				e.stats.priced.Add(1)
+			}
+			return res, nil, err
+		case errors.Is(err, core.ErrCanceled):
 			return nil, nil, err
 		}
-		e.stats.structures.Add(1)
-		own = res
-		return st.Res, st, nil
 	}
-	sk := structureKey(k)
-	if sk == k {
-		// An oracle request at the sentinel capacity is its own structure
-		// key, already claimed by this computation: a nested resolve would
-		// wait on itself.
-		return build(runCtx, net, cfg, k)
-	}
-	_, st, err := e.resolve(runCtx, net, nil, sk, false, build)
-	switch {
-	case own != nil:
-		return own, nil, nil
-	case errors.Is(err, core.ErrCanceled):
-		return nil, nil, err
-	case err == nil && cfg.Oracle:
-		// The structure's Result is exactly this oracle request's; clone so
-		// a caller patching its copy cannot corrupt the shared structure.
-		r := *st.Res
-		e.stats.priced.Add(1)
-		return &r, nil, nil
-	case err == nil:
-		res, ok, perr := st.Price(runCtx, net, cfg)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		if ok {
-			e.stats.priced.Add(1)
-			return res, nil, nil
-		}
-		// Pricing declined (the classifier alone exceeds this capacity):
-		// the full path produces the exact failure chain.
-	}
-	// A structure-build failure for any non-cancellation reason falls
-	// through to the full path too: it reproduces the error (or succeeds if
-	// the fault was transient) — a structure bug must never mask a real
-	// result.
 	res, err := e.runFull(runCtx, net, cfg)
 	return res, nil, err
 }
