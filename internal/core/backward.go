@@ -39,7 +39,7 @@ func (e *runtime) findPrefetchLayer(currLayerID int) int {
 func (e *runtime) prefetchBuffers(label string, bufs []*dnn.Tensor) ([]*sim.Op, error) {
 	var ops []*sim.Op
 	for _, t := range bufs {
-		bs := e.buf[t]
+		bs := e.buf[t.ID]
 		if !bs.offloaded {
 			continue
 		}
@@ -61,7 +61,7 @@ func (e *runtime) prefetchBuffers(label string, bufs []*dnn.Tensor) ([]*sim.Op, 
 // PrefetchNone or if the window policy ever misses (counted and asserted in
 // tests).
 func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
-	bs := e.buf[t]
+	bs := e.buf[t.ID]
 	b, err := e.alloc(e.mbShare(t.Bytes(e.net.DType)), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", t.ID))
 	if err != nil {
 		return err
@@ -83,11 +83,11 @@ func (e *runtime) fetchOnDemand(t *dnn.Tensor) error {
 // ensureGrad returns the gradient buffer for an aliasing root, allocating it
 // on first write (vDNN) or returning the baseline's shared slot.
 func (e *runtime) ensureGrad(root *dnn.Tensor) (*memalloc.Block, error) {
-	bs := e.buf[root]
+	bs := e.buf[root.ID]
 	if bs.gradBlock != nil {
 		return bs.gradBlock, nil
 	}
-	gi := e.gradInfos[root]
+	gi := e.gradInfos[root.ID]
 	if gi == nil {
 		return nil, fmt.Errorf("core: no gradient info for fm%d", root.ID)
 	}
@@ -120,7 +120,7 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 		// Weight-offloading extension: bring this step's scheduled weights
 		// back just in time (their only backward reader is their own layer).
 		for _, wl := range e.wPrefetchAt[l.ID] {
-			ws := e.wState[wl]
+			ws := e.wState[wl.ID]
 			if ws == nil || !ws.offloaded {
 				continue
 			}
@@ -162,16 +162,16 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 	var readBytes int64
 	for _, t := range l.BwdReads() {
 		readBytes += t.Bytes(d)
-		if e.buf[t].offloaded {
+		if e.buf[t.ID].offloaded {
 			if err := e.fetchOnDemand(t); err != nil {
 				return pend, err
 			}
 		}
-		if e.buf[t].block == nil {
+		if e.buf[t.ID].block == nil {
 			return pend, fmt.Errorf("core: bwd read fm%d not resident", t.ID)
 		}
 	}
-	if ws := e.wState[l]; ws != nil && ws.offloaded {
+	if ws := e.wState[l.ID]; ws != nil && ws.offloaded {
 		// Naive weight fetch: serialize behind queued compute like any
 		// on-demand transfer.
 		b, err := e.alloc(l.WeightBytes(d), memalloc.KindWeights, l.Name+".W")
@@ -192,23 +192,21 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 	// inputs are allocated at first write.
 	if l.Kind != dnn.SoftmaxLoss {
 		outRoot := dnn.GradRoot(l.Output)
-		if e.gradInfos[outRoot] != nil && e.buf[outRoot].gradBlock == nil {
+		if e.gradInfos[outRoot.ID] != nil && e.buf[outRoot.ID].gradBlock == nil {
 			return pend, fmt.Errorf("core: dY for %s missing", l.Name)
 		}
 	}
 	var gradInBytes int64
 	for _, in := range l.Inputs {
 		root := dnn.GradRoot(in)
-		if e.gradInfos[root] == nil {
+		if e.gradInfos[root.ID] == nil {
 			continue // network input: gradient skipped
 		}
 		if _, err := e.ensureGrad(root); err != nil {
 			return pend, err
 		}
-		if !e.buf[root].gradWritten {
-			e.buf[root].gradWritten = true
-		}
-		gradInBytes += e.gradInfos[root].Bytes
+		e.buf[root.ID].gradWritten = true
+		gradInBytes += e.gradInfos[root.ID].Bytes
 	}
 
 	// 4. Workspace for the convolution backward kernels.
@@ -256,7 +254,7 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 		}
 	}
 	outRootBytes := int64(0)
-	if gi := e.gradInfos[dnn.GradRoot(l.Output)]; gi != nil {
+	if gi := e.gradInfos[dnn.GradRoot(l.Output).ID]; gi != nil {
 		outRootBytes = gi.Bytes
 	}
 	bws := readBytes + st.WeightBytes*2 + wsBytes + gradInBytes + outRootBytes + l.MaskBytes(d)
@@ -277,7 +275,7 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 			e.pool.Free(wsBlock, relTime)
 		}
 		for _, t := range e.freeAtBwd[l.ID] {
-			bs := e.buf[t]
+			bs := e.buf[t.ID]
 			if !bs.persist && bs.block != nil {
 				e.pool.Free(bs.block, relTime)
 				bs.block = nil
@@ -285,8 +283,8 @@ func (e *runtime) issueBackward(l *dnn.Layer) (bwdPending, error) {
 			}
 		}
 		outRoot := dnn.GradRoot(l.Output)
-		if gi := e.gradInfos[outRoot]; gi != nil && gi.LastReader == l {
-			bs := e.buf[outRoot]
+		if gi := e.gradInfos[outRoot.ID]; gi != nil && gi.LastReader == l {
+			bs := e.buf[outRoot.ID]
 			if bs.gradBlock != nil && !bs.gradPersist {
 				e.pool.Free(bs.gradBlock, relTime)
 				bs.gradBlock = nil
@@ -369,15 +367,15 @@ func (e *runtime) bwdKernels(l *dnn.Layer, algos LayerAlgos) []kernelOp {
 		op := e.dev.Kernel(label, c.Dur, c.Flops, c.DRAMBytes, deps...)
 		out = append(out, kernelOp{op, c})
 	}
-	xDep := e.buf[l.In()].lastWrite
+	xDep := e.buf[l.In().ID].lastWrite
 	var wDep *sim.Op
-	if ws := e.wState[l]; ws != nil {
+	if ws := e.wState[l.ID]; ws != nil {
 		wDep = ws.lastWrite
 	}
 	switch l.Kind {
 	case dnn.Conv:
 		g := l.ConvGeom(d)
-		if e.gradInfos[dnn.GradRoot(l.In())] != nil {
+		if e.gradInfos[dnn.GradRoot(l.In()).ID] != nil {
 			issue("BWD-DATA:"+l.Name, cudnnsim.ConvCost(spec, g, algos.BwdData, cudnnsim.BwdData), xDep, wDep)
 		}
 		issue("BWD-FILTER:"+l.Name, cudnnsim.ConvCost(spec, g, algos.BwdFilter, cudnnsim.BwdFilter), xDep)

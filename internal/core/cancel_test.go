@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,5 +135,48 @@ func TestCancelReturnsPromptly(t *testing.T) {
 	}
 	if lag := time.Duration(returned - at); lag > time.Second {
 		t.Fatalf("cancel-to-return took %s, want well under 1s", lag)
+	}
+}
+
+// countCtx never cancels; it counts the Err probes a run makes — one at
+// RunContext's entry and at least one per execution attempt.
+type countCtx struct {
+	context.Context
+	probes atomic.Int64
+}
+
+func (c *countCtx) Err() error {
+	c.probes.Add(1)
+	return nil
+}
+
+// TestOracleFailureRunsOnce checks that a configuration already at oracle
+// capacity is not executed a second time when it fails: a host too small to
+// pin the first offloaded feature map fails at any device capacity, and the
+// oracle request must stop after its one attempt with the error the rerun
+// would have reported, while the same request at real capacity still pays
+// its attempt plus the oracle rerun.
+func TestOracleFailureRunsOnce(t *testing.T) {
+	probes := func(oracle bool) (int64, error) {
+		ctx := &countCtx{Context: context.Background()}
+		c := Config{Spec: titan(), Policy: VDNNAll, Algo: MemOptimal, HostBytes: 1 << 20, Oracle: oracle}
+		res, err := RunContext(ctx, alexNet, c)
+		if res != nil {
+			t.Fatalf("oracle=%v: a run whose host cannot pin fm0 returned a result: %+v", oracle, res)
+		}
+		return ctx.probes.Load(), err
+	}
+	oracleProbes, err := probes(true)
+	const want = "core: oracle rerun failed: iteration 0: fwd conv1: "
+	if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), `"pin-fm0"`) {
+		t.Fatalf("oracle err = %v, want prefix %q naming pin-fm0", err, want)
+	}
+	plainProbes, plainErr := probes(false)
+	if plainErr == nil || plainErr.Error() != err.Error() {
+		t.Fatalf("real-capacity err = %v, want the oracle request's %v", plainErr, err)
+	}
+	if oracleProbes >= plainProbes {
+		t.Fatalf("oracle request probed its context %d times, real-capacity request %d: the failed oracle attempt was executed again",
+			oracleProbes, plainProbes)
 	}
 }

@@ -41,8 +41,10 @@ type codecDecision struct {
 //     where every addend is);
 //   - everything else (CONV/FC/BN/LRN pre-activation outputs, the input
 //     batch, dropout masks' hosts) is dense.
-func activationSparsity(net *dnn.Network, prof compress.Profile) map[*dnn.Tensor]float64 {
-	sp := make(map[*dnn.Tensor]float64, len(net.Tensors))
+//
+// The result is indexed by Tensor.ID.
+func activationSparsity(net *dnn.Network, prof compress.Profile) []float64 {
+	sp := make([]float64, len(net.Tensors))
 	depth := float64(len(net.Layers) - 1)
 	if depth <= 0 {
 		depth = 1
@@ -53,13 +55,13 @@ func activationSparsity(net *dnn.Network, prof compress.Profile) map[*dnn.Tensor
 		case dnn.ReLU:
 			s = prof.ReLU(float64(l.ID) / depth)
 		case dnn.Pool:
-			s = prof.Pool(sp[l.In()])
+			s = prof.Pool(sp[l.In().ID])
 		case dnn.Concat:
 			var bytes, weighted float64
 			for _, in := range l.Inputs {
 				b := float64(in.Bytes(net.DType))
 				bytes += b
-				weighted += b * sp[in]
+				weighted += b * sp[in.ID]
 			}
 			if bytes > 0 {
 				s = weighted / bytes
@@ -67,23 +69,23 @@ func activationSparsity(net *dnn.Network, prof compress.Profile) map[*dnn.Tensor
 		case dnn.Add:
 			s = 1
 			for _, in := range l.Inputs {
-				s *= sp[in]
+				s *= sp[in.ID]
 			}
 		default:
 			s = 0
 		}
-		sp[l.Output] = s
+		sp[l.Output.ID] = s
 	}
 	return sp
 }
 
-// buildCompression resolves the plan's per-buffer codec decisions. Called
-// once per plan, after the offload set is known; returns nil when the
-// configuration does not compress. Only buffers the plan offloads get a
-// decision — nothing else ever crosses the wire. Weights (the OffloadWeights
-// extension) stay uncompressed: they are dense, the cDMA paper's own
-// observation for why the engine targets activations.
-func buildCompression(net *dnn.Network, cfg Config, pol OffloadPolicy, offloaded []*dnn.Tensor) (map[*dnn.Tensor]codecDecision, error) {
+// buildCompression resolves the plan's per-buffer codec decisions, indexed
+// by Tensor.ID. Called once per plan, after the offload set is known;
+// returns nil when the configuration does not compress. Only buffers the
+// plan offloads get a decision — nothing else ever crosses the wire.
+// Weights (the OffloadWeights extension) stay uncompressed: they are dense,
+// the cDMA paper's own observation for why the engine targets activations.
+func buildCompression(net *dnn.Network, cfg Config, pol OffloadPolicy, offloaded []*dnn.Tensor) ([]codecDecision, error) {
 	cc := cfg.Compression.WithDefaults() // callers pass normalized configs; direct buildPlan callers (tests) may not
 	if !cc.Enabled() {
 		return nil, nil
@@ -94,7 +96,7 @@ func buildCompression(net *dnn.Network, cfg Config, pol OffloadPolicy, offloaded
 	}
 	sp := activationSparsity(net, prof)
 	cp, hasHook := pol.(CompressionPolicy)
-	decisions := make(map[*dnn.Tensor]codecDecision, len(offloaded))
+	decisions := make([]codecDecision, len(net.Tensors))
 	for _, t := range offloaded {
 		codec := cc.Codec
 		if hasHook {
@@ -103,10 +105,7 @@ func buildCompression(net *dnn.Network, cfg Config, pol OffloadPolicy, offloaded
 				return nil, err
 			}
 		}
-		if codec == compress.CodecNone {
-			continue
-		}
-		decisions[t] = codecDecision{codec: codec, sparsity: sp[t]}
+		decisions[t.ID] = codecDecision{codec: codec, sparsity: sp[t.ID]}
 	}
 	return decisions, nil
 }
@@ -115,10 +114,10 @@ func buildCompression(net *dnn.Network, cfg Config, pol OffloadPolicy, offloaded
 // t under the plan. Pass-through (no codec, or an incompressible buffer)
 // returns (raw, zero cost).
 func (e *runtime) codecCost(t *dnn.Tensor, raw int64) compress.Cost {
-	d, ok := e.plan.Compression[t]
-	if !ok {
+	if e.plan.Compression == nil {
 		return compress.Cost{WireBytes: raw}
 	}
+	d := e.plan.Compression[t.ID]
 	return d.codec.Cost(raw, e.net.DType.Size(), d.sparsity, e.cfg.Spec.EffDRAMBps())
 }
 

@@ -617,6 +617,9 @@ func validateConfig(net *dnn.Network, cfg Config) (OffloadPolicy, error) {
 //     allocator trace and oracle Result of whichever run trained (the run at
 //     cfg's own capacity when it trains, the oracle rerun otherwise);
 //   - filled: st.Res stands in for the oracle rerun, which is never run.
+//
+// A configuration already at oracle capacity (cfg.Oracle) has nothing to
+// rerun: when it fails without a filled st, the failure is the error.
 func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, st *Structure) (*Result, error) {
 	plan, err := buildPlan(net, cfg, pol)
 	if err != nil {
@@ -642,6 +645,11 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 	}
 	if st != nil && st.Res != nil {
 		return untrainable(st.Res, cfg, runErr), nil
+	}
+	if cfg.Oracle {
+		// The attempt already ran at oracle capacity: a rerun would execute
+		// the identical configuration and fail the same way.
+		return nil, fmt.Errorf("core: oracle rerun failed: %w", runErr)
 	}
 	// OOM: report the hypothetical demand on an oracular device. The failure
 	// cut the recorded trace short, so a recording run records afresh.

@@ -37,7 +37,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 			if err := e.ensurePinned(t); err != nil {
 				return p, err
 			}
-			bs := e.buf[t]
+			bs := e.buf[t.ID]
 			op := e.offloadCompressed(fmt.Sprintf("%s(fm%d)", l.Name, t.ID), t, e.mbShare(t.Bytes(d)), bs.lastWrite)
 			p.offOps = append(p.offOps, op)
 			p.offBufs = append(p.offBufs, t)
@@ -45,7 +45,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 			st.Offloaded = true
 			st.OffloadBytes += e.mbShare(t.Bytes(d))
 		}
-		if ws := e.wState[l]; ws != nil && e.offloadsWeights() && !ws.offloaded {
+		if ws := e.wState[l.ID]; ws != nil && e.offloadsWeights() && !ws.offloaded {
 			if ws.pinned == nil {
 				r, cost, err := e.host.AllocPinned(l.WeightBytes(d), l.Name+".W.pin")
 				if err != nil {
@@ -68,7 +68,7 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 
 	// 2. Allocate the output buffer (dynamic policies only; the baseline and
 	// classifier buffers are network-wide).
-	out := e.buf[l.Output]
+	out := e.buf[l.Output.ID]
 	if !l.InPlace && out.block == nil {
 		b, err := e.alloc(e.mbShare(l.Output.Bytes(d)), memalloc.KindFeatureMap, fmt.Sprintf("fm%d", l.Output.ID))
 		if err != nil {
@@ -102,13 +102,13 @@ func (e *runtime) issueForward(l *dnn.Layer) (fwdPending, error) {
 	cost := e.mbCost(e.fwdCost(l, algos))
 	deps := make([]*sim.Op, 0, len(l.Inputs))
 	for _, t := range l.Inputs {
-		if e.buf[t].block == nil {
+		if e.buf[t.ID].block == nil {
 			return p, fmt.Errorf("core: fwd input fm%d not resident", t.ID)
 		}
-		deps = append(deps, e.buf[t].lastWrite)
+		deps = append(deps, e.buf[t.ID].lastWrite)
 	}
 	op := e.dev.Kernel("FWD:"+l.Name, cost.Dur, cost.Flops, cost.DRAMBytes, deps...)
-	e.buf[l.Output].lastWrite = op
+	e.buf[l.Output.ID].lastWrite = op
 	e.recordFwd(l, st, cost, op, wsBytes)
 	p.kernel = op
 
@@ -143,7 +143,7 @@ func (e *runtime) finishForward(p fwdPending, async bool) {
 		rel = e.now()
 	}
 	for _, t := range p.offBufs {
-		bs := e.buf[t]
+		bs := e.buf[t.ID]
 		e.pool.Free(bs.block, rel)
 		bs.block = nil
 		bs.offloaded = true

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"vdnn/internal/compress"
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
@@ -30,12 +29,11 @@ import (
 // observation: sparsity lives in activations).
 
 // stageBoundary is the single feature map crossing between stage b and
-// stage b+1, with its resolved activation codec (compressed == false means
-// the transfer moves raw bytes).
+// stage b+1, with its resolved activation codec (CodecNone means the
+// transfer moves raw bytes).
 type stageBoundary struct {
-	t          *dnn.Tensor
-	codec      codecDecision
-	compressed bool
+	t     *dnn.Tensor
+	codec codecDecision
 }
 
 // pipelineStages derives the stage partition of a pipeline configuration:
@@ -125,7 +123,7 @@ func allowedCuts(net *dnn.Network) (allowed []bool, crossing []*dnn.Tensor) {
 		if inputLive || count != 1 {
 			continue
 		}
-		if dnn.GradRoot(cross) != cross || gradInfos[cross] == nil {
+		if dnn.GradRoot(cross) != cross || gradInfos[cross.ID] == nil {
 			continue
 		}
 		allowed[i] = true
@@ -176,10 +174,9 @@ func resolveBoundaryCodecs(net *dnn.Network, cfg Config, pol OffloadPolicy, boun
 	if err != nil {
 		return err
 	}
-	for i := range bounds {
-		if d, ok := decisions[bounds[i].t]; ok {
-			bounds[i].codec = d
-			bounds[i].compressed = true
+	if decisions != nil {
+		for i := range bounds {
+			bounds[i].codec = decisions[bounds[i].t.ID]
 		}
 	}
 	return nil
@@ -194,22 +191,18 @@ func resolveBoundaryCodecs(net *dnn.Network, cfg Config, pol OffloadPolicy, boun
 func sendActivation(src, dst *runtime, b stageBoundary, mb int) error {
 	d := src.net.DType
 	t := b.t
-	bs := src.buf[t]
+	bs := src.buf[t.ID]
 	if bs.block == nil {
 		return fmt.Errorf("core: boundary fm%d not resident at send (mb %d)", t.ID, mb)
 	}
 	raw := src.mbShare(t.Bytes(d))
-	wire := raw
 	dep := bs.lastWrite
 	label := fmt.Sprintf("fm%d.mb%d", t.ID, mb)
-	var cost compress.Cost
-	if b.compressed {
-		cost = b.codec.codec.Cost(raw, d.Size(), b.codec.sparsity, src.cfg.Spec.EffDRAMBps())
-		if cost.WireBytes < raw {
-			wire = cost.WireBytes
-			dep = src.dev.Compress("CMP:PPS:"+label, cost.Compress, raw, dep)
-			src.compressTime += cost.Compress
-		}
+	cost := b.codec.codec.Cost(raw, d.Size(), b.codec.sparsity, src.cfg.Spec.EffDRAMBps())
+	wire := cost.WireBytes // raw when the codec is CodecNone or bypasses the map
+	if wire < raw {
+		dep = src.dev.Compress("CMP:PPS:"+label, cost.Compress, raw, dep)
+		src.compressTime += cost.Compress
 	}
 	send := src.dev.StageSend("PPS:"+label, wire, src.arSend, dep)
 	recv := dst.dev.StageRecv("PPR:"+label, wire, dst.arRecv, send)
@@ -222,7 +215,7 @@ func sendActivation(src, dst *runtime, b stageBoundary, mb int) error {
 	if err != nil {
 		return err
 	}
-	st := dst.mbBufs[mb][t]
+	st := dst.mbBufs[mb][t.ID]
 	st.block = blk
 	st.offloaded = false
 	st.lastWrite = last
@@ -241,9 +234,9 @@ func installBoundaryGrad(rt *runtime, b stageBoundary, recv *sim.Op) error {
 	if recv == nil {
 		return fmt.Errorf("core: boundary gradient for fm%d missing", b.t.ID)
 	}
-	bs := rt.buf[b.t]
+	bs := rt.buf[b.t.ID]
 	if bs.gradBlock == nil {
-		gi := rt.gradInfos[b.t]
+		gi := rt.gradInfos[b.t.ID]
 		blk, err := rt.alloc(rt.mbShare(gi.Bytes), memalloc.KindGradMap, fmt.Sprintf("grad%d", b.t.ID))
 		if err != nil {
 			return err
@@ -263,11 +256,11 @@ func installBoundaryGrad(rt *runtime, b stageBoundary, recv *sim.Op) error {
 // the gradient and of the boundary-in activation are released.
 func sendGradient(src, dst *runtime, b stageBoundary, mb int) *sim.Op {
 	t := b.t
-	raw := src.mbShare(src.gradInfos[t].Bytes)
+	raw := src.mbShare(src.gradInfos[t.ID].Bytes)
 	label := fmt.Sprintf("grad%d.mb%d", t.ID, mb)
 	send := src.dev.StageSend("PPS:"+label, raw, src.arSend, src.dev.StreamCompute.Last())
 	recv := dst.dev.StageRecv("PPR:"+label, raw, dst.arRecv, send)
-	bs := src.buf[t]
+	bs := src.buf[t.ID]
 	if bs.gradBlock != nil && !bs.gradPersist {
 		src.pool.Free(bs.gradBlock, send.End)
 		bs.gradBlock = nil

@@ -42,10 +42,11 @@ type Plan struct {
 	// schedule (Figure 9): one backward step before the buffer's first
 	// backward reader.
 	PrefetchAt [][]*dnn.Tensor
-	// Compression maps each offloaded buffer to its resolved codec and
-	// predicted activation sparsity; nil when the configuration does not
-	// compress (see Config.Compression and CompressionPolicy).
-	Compression map[*dnn.Tensor]codecDecision
+	// Compression holds, per Tensor.ID, each offloaded buffer's resolved
+	// codec and predicted activation sparsity (the zero decision, CodecNone,
+	// for every other buffer); nil when the configuration does not compress
+	// (see Config.Compression and CompressionPolicy).
+	Compression []codecDecision
 	// offloadTotal is the per-iteration offload traffic implied by the plan.
 	offloadTotal int64
 }
@@ -125,7 +126,7 @@ func buildStagePlan(net *dnn.Network, cfg Config, pol OffloadPolicy, lo, hi int)
 		// simply never recreated. (In the benchmark networks every offloaded
 		// buffer has a reader: even concat branch outputs are read by their
 		// in-place ReLU's backward.)
-		if f := firstReader[t]; f != nil {
+		if f := firstReader[t.ID]; f != nil {
 			at := f.ID + 1
 			if at >= hi {
 				at = hi - 1 // fetched at the stage's very first backward step
@@ -176,16 +177,15 @@ func stageOffloadTrigger(net *dnn.Network, t *dnn.Tensor, pol OffloadPolicy, lo,
 	return trigger
 }
 
-// stageFirstBwdReaders maps each buffer to the layer whose backward kernels
-// read it first in backward execution order within [lo, hi) — the buffer's
-// highest-ID reader among the stage's own backward kernels.
-func stageFirstBwdReaders(net *dnn.Network, lo, hi int) map[*dnn.Tensor]*dnn.Layer {
-	m := make(map[*dnn.Tensor]*dnn.Layer, len(net.Tensors))
+// stageFirstBwdReaders gives, per Tensor.ID, the layer whose backward
+// kernels read the buffer first in backward execution order within [lo, hi)
+// — its highest-ID reader among the stage's own backward kernels — or nil.
+func stageFirstBwdReaders(net *dnn.Network, lo, hi int) []*dnn.Layer {
+	m := make([]*dnn.Layer, len(net.Tensors))
+	// Layers run in ID order, so the last reader seen is the highest-ID one.
 	for _, l := range net.Layers[lo:hi] {
 		for _, t := range l.BwdReads() {
-			if cur, ok := m[t]; !ok || l.ID > cur.ID {
-				m[t] = l
-			}
+			m[t.ID] = l
 		}
 	}
 	return m

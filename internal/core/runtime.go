@@ -81,7 +81,7 @@ type runtime struct {
 	// feature maps, classifier memory, the input batch) is shared.
 	mbCount int
 	mbIndex int
-	mbBufs  []map[*dnn.Tensor]*bufState
+	mbBufs  [][]*bufState
 	mbLay   [][]*layerState
 
 	// bwdExtraDep, when set, is added to every backward kernel issued — the
@@ -106,15 +106,16 @@ type runtime struct {
 	arSend *sim.Stream
 	arRecv *sim.Stream
 
-	gradInfos map[*dnn.Tensor]*dnn.GradInfo
+	gradInfos []*dnn.GradInfo // the network's, indexed by Tensor.ID (dnn.GradientInfos)
 	freeAtBwd [][]*dnn.Tensor // buffers released after each layer's backward
 
-	buf map[*dnn.Tensor]*bufState
-	lay []*layerState
+	buf []*bufState   // per-buffer state, indexed by Tensor.ID
+	lay []*layerState // per-layer flags, indexed by Layer.ID
 
 	// Weight-offloading extension (Config.OffloadWeights): per-layer weight
-	// buffer state and the JIT prefetch schedule for weights.
-	wState      map[*dnn.Layer]*bufState
+	// buffer state, indexed by Layer.ID (nil for weight-less and other
+	// stages' layers), and the JIT prefetch schedule for weights.
+	wState      []*bufState
 	wPrefetchAt [][]*dnn.Layer
 
 	sharedWS *memalloc.Block // baseline: single reused workspace
@@ -164,32 +165,32 @@ func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, 
 		arRecv:    dev.TL.NewStream("stream_ar_recv"),
 		gradInfos: dnn.GradientInfos(net),
 		freeAtBwd: make([][]*dnn.Tensor, len(net.Layers)),
-		buf:       make(map[*dnn.Tensor]*bufState, len(net.Tensors)),
+		buf:       make([]*bufState, len(net.Tensors)),
 		lay:       make([]*layerState, len(net.Layers)),
 		chosenAlg: make([]LayerAlgos, len(net.Layers)),
 	}
 	// One arena allocation backs all per-tensor and per-layer state, instead
 	// of an allocator round-trip per tensor — these dominate the allocation
 	// profile of a sweep (one runtime per sweep point).
-	bufArena := make([]bufState, len(net.Tensors))
-	for i, t := range net.Tensors {
-		e.buf[t] = &bufArena[i]
+	bufArena := make([]bufState, len(e.buf))
+	for i := range e.buf {
+		e.buf[i] = &bufArena[i]
 	}
 	layArena := make([]layerState, len(e.lay))
 	for i := range e.lay {
 		e.lay[i] = &layArena[i]
 	}
 	copy(e.chosenAlg, plan.Algos)
-	// Walk tensors in graph order, not map order: the release sequence feeds
-	// the pool's pending-free heap, and the allocator call sequence must be
+	// Walk tensors in graph order: the release sequence feeds the pool's
+	// pending-free heap, and the allocator call sequence must be
 	// reproducible for the recorded trace to price other capacities exactly.
 	lastBwd := e.lastBwdReaders()
 	for _, t := range net.Tensors {
-		if l, ok := lastBwd[t]; ok {
+		if l := lastBwd[t.ID]; l != nil {
 			e.freeAtBwd[l.ID] = append(e.freeAtBwd[l.ID], t)
 		}
 	}
-	e.wState = map[*dnn.Layer]*bufState{}
+	e.wState = make([]*bufState, len(net.Layers))
 	e.wPrefetchAt = make([][]*dnn.Layer, len(net.Layers))
 	if e.offloadsWeights() {
 		for _, l := range net.FeatureLayers() {
@@ -225,23 +226,22 @@ func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, 
 		return nil, err
 	}
 
-	// Per-micro-batch buffer and layer-flag views. Index 0 is the map the
+	// Per-micro-batch buffer and layer-flag views. Index 0 is the state the
 	// persistent setup above populated; further micro-batches share the
 	// persistent states (weights, baseline/classifier buffers, gradient
 	// slots, the input batch) and get fresh states for everything the vDNN
 	// runtime manages dynamically.
-	e.mbBufs = make([]map[*dnn.Tensor]*bufState, e.mbCount)
+	e.mbBufs = make([][]*bufState, e.mbCount)
 	e.mbLay = make([][]*layerState, e.mbCount)
 	e.mbBufs[0], e.mbLay[0] = e.buf, e.lay
 	for mb := 1; mb < e.mbCount; mb++ {
-		bufs := make(map[*dnn.Tensor]*bufState, len(net.Tensors))
-		mbBufArena := make([]bufState, 0, len(net.Tensors))
-		for t, st := range e.mbBufs[0] {
+		bufs := make([]*bufState, len(net.Tensors))
+		mbBufArena := make([]bufState, len(net.Tensors))
+		for id, st := range e.mbBufs[0] {
 			if st.persist || st.gradPersist {
-				bufs[t] = st
+				bufs[id] = st
 			} else {
-				mbBufArena = append(mbBufArena, bufState{})
-				bufs[t] = &mbBufArena[len(mbBufArena)-1]
+				bufs[id] = &mbBufArena[id]
 			}
 		}
 		lay := make([]*layerState, len(net.Layers))
@@ -273,36 +273,38 @@ func (e *runtime) ownsTensor(t *dnn.Tensor) bool {
 	return e.owned(t.Producer.ID)
 }
 
-// lastBwdReaders maps every buffer this runtime touches to the owned layer
-// whose backward pass is its final owned reader — the stage-local version of
-// dnn.LastBwdReaders, identical to it over the full layer range. Boundary
-// tensors received from a previous stage that no owned backward kernel reads
-// fall back to their earliest owned consumer.
-func (e *runtime) lastBwdReaders() map[*dnn.Tensor]*dnn.Layer {
+// lastBwdReaders gives, for every buffer this runtime touches (indexed by
+// Tensor.ID, nil for the others), the owned layer whose backward pass is its
+// final owned reader — the stage-local version of dnn.LastBwdReaders,
+// identical to it over the full layer range. Boundary tensors received from
+// a previous stage that no owned backward kernel reads fall back to their
+// earliest owned consumer.
+func (e *runtime) lastBwdReaders() []*dnn.Layer {
 	if e.lo == 0 && e.hi == len(e.net.Layers) {
 		return dnn.LastBwdReaders(e.net)
 	}
-	m := make(map[*dnn.Tensor]*dnn.Layer, len(e.net.Tensors))
+	m := make([]*dnn.Layer, len(e.net.Tensors))
+	// Layers run in ID order, so the first reader seen is the lowest-ID one.
 	for _, l := range e.net.Layers[e.lo:e.hi] {
 		for _, t := range l.BwdReads() {
-			if cur, ok := m[t]; !ok || l.ID < cur.ID {
-				m[t] = l
+			if m[t.ID] == nil {
+				m[t.ID] = l
 			}
 		}
 	}
 	for _, t := range e.net.Tensors {
-		if _, ok := m[t]; ok {
+		if m[t.ID] != nil {
 			continue
 		}
 		if t.Producer != nil && e.owned(t.Producer.ID) {
-			m[t] = t.Producer
+			m[t.ID] = t.Producer
 			continue
 		}
 		// Boundary-in tensor: release after its earliest owned consumer's
 		// backward (nothing below it in this stage can reference it).
 		for _, c := range t.Consumer {
 			if e.owned(c.ID) {
-				m[t] = c
+				m[t.ID] = c
 				break
 			}
 		}
@@ -387,20 +389,21 @@ func (e *runtime) setupFramework() error {
 		if err != nil {
 			return err
 		}
-		st := e.buf[t]
+		st := e.buf[t.ID]
 		st.block = b
 		st.persist = true
 	}
-	for root, gi := range e.gradInfos {
-		if !isClassifierRoot(root) || !e.ownsTensor(root) {
+	for _, gi := range e.gradInfos {
+		if gi == nil || !isClassifierRoot(gi.Root) || !e.ownsTensor(gi.Root) {
 			continue
 		}
-		b, err := allocFW(gi.Bytes, memalloc.KindGradMap, fmt.Sprintf("grad%d", root.ID))
+		b, err := allocFW(gi.Bytes, memalloc.KindGradMap, fmt.Sprintf("grad%d", gi.Root.ID))
 		if err != nil {
 			return err
 		}
-		e.buf[root].gradBlock = b
-		e.buf[root].gradPersist = true
+		st := e.buf[gi.Root.ID]
+		st.gradBlock = b
+		st.gradPersist = true
 	}
 	return nil
 }
@@ -425,7 +428,7 @@ func (e *runtime) setup() error {
 			if err != nil {
 				return err
 			}
-			e.wState[l] = &bufState{block: wb, persist: !e.offloadsWeights()}
+			e.wState[l.ID] = &bufState{block: wb, persist: !e.offloadsWeights()}
 			if _, err := e.alloc(w, memalloc.KindWeightGrad, l.Name+".dW"); err != nil {
 				return err
 			}
@@ -445,7 +448,7 @@ func (e *runtime) setup() error {
 		if err != nil {
 			return err
 		}
-		st := e.buf[t]
+		st := e.buf[t.ID]
 		st.block = b
 		st.persist = true
 	}
@@ -465,9 +468,10 @@ func (e *runtime) setup() error {
 		}
 		slots[i] = b
 	}
-	for root, s := range gplan.SlotOf {
-		e.buf[root].gradBlock = slots[s]
-		e.buf[root].gradPersist = true
+	for _, gi := range gplan.Infos {
+		st := e.buf[gi.Root.ID]
+		st.gradBlock = slots[gplan.SlotOf[gi.Root]]
+		st.gradPersist = true
 	}
 
 	// Single workspace sized to the maximum need across the network.
@@ -547,18 +551,18 @@ func sumInputBytes(l *dnn.Layer, d tensor.DType) int64 {
 // managed buffer and gradient must be back in the pool.
 func (e *runtime) checkIterationEnd() error {
 	for _, bufs := range e.mbBufs {
-		for t, st := range bufs {
-			if !st.persist && st.block != nil && t != e.net.Input {
-				return fmt.Errorf("core: buffer fm%d leaked past iteration end", t.ID)
+		for id, st := range bufs {
+			if !st.persist && st.block != nil && id != e.net.Input.ID {
+				return fmt.Errorf("core: buffer fm%d leaked past iteration end", id)
 			}
 			if st.gradBlock != nil && !st.gradPersist {
-				return fmt.Errorf("core: gradient of fm%d leaked past iteration end", t.ID)
+				return fmt.Errorf("core: gradient of fm%d leaked past iteration end", id)
 			}
 		}
 	}
-	for l, ws := range e.wState {
-		if ws.block == nil {
-			return fmt.Errorf("core: weights of %s not resident at iteration end", l.Name)
+	for id, ws := range e.wState {
+		if ws != nil && ws.block == nil {
+			return fmt.Errorf("core: weights of %s not resident at iteration end", e.net.Layers[id].Name)
 		}
 	}
 	return nil
@@ -589,7 +593,7 @@ func (e *runtime) pickAlgos(l *dnn.Layer) LayerAlgos {
 // offloaded feature map. cudaMallocHost is expensive, so the cost is charged
 // once (first iteration) and the region reused for the rest of training.
 func (e *runtime) ensurePinned(t *dnn.Tensor) error {
-	st := e.buf[t]
+	st := e.buf[t.ID]
 	if st.pinned != nil {
 		return nil
 	}

@@ -293,7 +293,7 @@ func (g *grid) layerErr(r, s int, pass string, l *dnn.Layer, err error) error {
 // network-wide; vDNN allocates it per iteration (per micro-batch under
 // pipeline parallelism — each micro-batch feeds its own input slice).
 func (e *runtime) beginIteration() error {
-	in := e.buf[e.net.Input]
+	in := e.buf[e.net.Input.ID]
 	if in.block == nil {
 		b, err := e.alloc(e.mbShare(e.net.Input.Bytes(e.net.DType)), memalloc.KindFeatureMap, "input")
 		if err != nil {
@@ -320,14 +320,14 @@ func (e *runtime) weightUpdate(syncDep *sim.Op) error {
 		if w := l.WeightBytes(e.net.DType); w > 0 {
 			c := cudnnsim.ElementwiseCost(e.cfg.Spec, w, 3)
 			var dep *sim.Op
-			if ws := e.wState[l]; ws != nil {
+			if ws := e.wState[l.ID]; ws != nil {
 				if ws.block == nil {
 					return fmt.Errorf("core: weights of %s not resident at update", l.Name)
 				}
 				dep = ws.lastWrite
 			}
 			op := e.dev.Kernel("sgd:"+l.Name, c.Dur, c.Flops, c.DRAMBytes, dep, syncDep)
-			if ws := e.wState[l]; ws != nil {
+			if ws := e.wState[l.ID]; ws != nil {
 				ws.lastWrite = op
 			}
 		}

@@ -248,7 +248,7 @@ func (b *Builder) SoftmaxLoss(x *Tensor, name string) *Tensor {
 	return l.Output
 }
 
-// Finalize validates and returns the network.
+// Finalize validates the network and derives its graph analyses.
 func (b *Builder) Finalize() (*Network, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -264,9 +264,10 @@ func (b *Builder) Finalize() (*Network, error) {
 		Tensors: b.tensors,
 		Input:   b.input,
 	}
-	if err := n.Validate(); err != nil {
+	if err := n.validateGraph(); err != nil {
 		return nil, err
 	}
+	n.derive()
 	return n, nil
 }
 

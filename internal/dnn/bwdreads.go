@@ -31,42 +31,32 @@ func (l *Layer) BwdReads() []*Tensor {
 	return nil
 }
 
-// LastBwdReaders maps every buffer to the layer whose backward pass is its
-// final reader in backward execution order (backward runs from high layer
-// IDs to low, so the final reader is the lowest-ID reader). vDNN releases
-// each buffer once that layer's backward completes. Buffers no backward
-// kernel reads fall back to their producer's backward slot, which is always
-// safe (nothing below the producer can reference them).
+// LastBwdReaders gives, for every buffer (indexed by Tensor.ID), the layer
+// whose backward pass is its final reader in backward execution order
+// (backward runs from high layer IDs to low, so the final reader is the
+// lowest-ID reader). vDNN releases each buffer once that layer's backward
+// completes. Buffers no backward kernel reads fall back to their producer's
+// backward slot, which is always safe (nothing below the producer can
+// reference them); only an unread network input has a nil entry.
 //
-// The result is memoized per network identity and shared between callers:
-// read it, do not mutate it.
-func LastBwdReaders(n *Network) map[*Tensor]*Layer {
-	derivedMu.Lock()
-	d := derivedOf(n)
-	m := d.lastBwd
-	derivedMu.Unlock()
-	if m == nil {
-		m = computeLastBwdReaders(n)
-		derivedMu.Lock()
-		derivedOf(n).lastBwd = m
-		derivedMu.Unlock()
-	}
-	return m
-}
+// The slice is owned by the network and shared between callers: read it, do
+// not mutate it.
+func LastBwdReaders(n *Network) []*Layer { return n.lastBwd }
 
-// computeLastBwdReaders is the uncached analysis behind LastBwdReaders.
-func computeLastBwdReaders(n *Network) map[*Tensor]*Layer {
-	m := make(map[*Tensor]*Layer, len(n.Tensors))
+// computeLastBwdReaders is the analysis behind LastBwdReaders.
+func computeLastBwdReaders(n *Network) []*Layer {
+	m := make([]*Layer, len(n.Tensors))
+	// Layers run in ID order, so the first reader seen is the lowest-ID one.
 	for _, l := range n.Layers {
 		for _, t := range l.BwdReads() {
-			if cur, ok := m[t]; !ok || l.ID < cur.ID {
-				m[t] = l
+			if m[t.ID] == nil {
+				m[t.ID] = l
 			}
 		}
 	}
 	for _, t := range n.Tensors {
-		if _, ok := m[t]; !ok && t.Producer != nil {
-			m[t] = t.Producer
+		if m[t.ID] == nil && t.Producer != nil {
+			m[t.ID] = t.Producer
 		}
 	}
 	return m

@@ -3,89 +3,36 @@ package dnn
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
-// Per-network memoization of derived graph analyses.
+// Derived graph analyses, owned by the network they describe.
 //
 // GradientInfos and LastBwdReaders are pure functions of the immutable layer
-// graph, yet every simulation runtime re-derives them — across a design-space
-// sweep that is thousands of identical liveness analyses of a handful of
-// networks. Fingerprint, the persistent store's network key, is memoized the
-// same way. The memo keys by network identity (the same identity callers and
-// the sweep cache key by), holds the canonical result per network, and is
-// bounded so ad-hoc throwaway graphs cannot grow it without limit.
+// graph, read by every simulation runtime. Finalize (and WithDType, whose
+// byte sizes differ) derives them once and stores them on the network as
+// slices indexed by Tensor.ID, so the analyses live exactly as long as the
+// graph and no package-level state has to be bounded or purged. Fingerprint,
+// the persistent store's network key, is computed on first use instead: only
+// a result store asks for it.
 
-const derivedCap = 256
-
-// derived is one network's memoized analyses, filled lazily per field.
-type derived struct {
-	gradInfos   map[*Tensor]*GradInfo
-	lastBwd     map[*Tensor]*Layer
-	fingerprint string
-}
-
-var (
-	derivedMu    sync.Mutex
-	derivedMemo  = map[*Network]*derived{}
-	derivedOrder []*Network // FIFO eviction queue
-)
-
-// derivedOf returns (creating if needed) the network's memo slot. Called
-// with derivedMu held.
-func derivedOf(n *Network) *derived {
-	d := derivedMemo[n]
-	if d == nil {
-		if len(derivedMemo) >= derivedCap {
-			oldest := derivedOrder[0]
-			derivedOrder = derivedOrder[1:]
-			delete(derivedMemo, oldest)
-		}
-		d = &derived{}
-		derivedMemo[n] = d
-		derivedOrder = append(derivedOrder, n)
-	}
-	return d
-}
-
-// PurgeDerived drops the network's memoized analyses. Callers that evict a
-// network from their own memoization (the sweep engine's PurgeNetwork) use
-// it so a dead graph identity does not pin its analyses until FIFO eviction
-// reaches them.
-func PurgeDerived(n *Network) {
-	derivedMu.Lock()
-	defer derivedMu.Unlock()
-	if _, ok := derivedMemo[n]; !ok {
-		return
-	}
-	delete(derivedMemo, n)
-	for i, o := range derivedOrder {
-		if o == n {
-			derivedOrder = append(derivedOrder[:i], derivedOrder[i+1:]...)
-			break
-		}
-	}
+// derive fills the network's analyses. Called once, before the network is
+// handed out.
+func (n *Network) derive() {
+	n.gradInfos = computeGradientInfos(n)
+	n.lastBwd = computeLastBwdReaders(n)
 }
 
 // Fingerprint serializes the structural identity of a network: name, batch,
 // element type, and per-layer kind/geometry/connectivity. Two networks with
 // equal fingerprints produce identical simulation results under any
 // configuration, which is what lets a persistent result store address a
-// network across processes. Memoized per network identity.
+// network across processes. Computed once per network, on first use.
 func Fingerprint(n *Network) string {
-	derivedMu.Lock()
-	fp := derivedOf(n).fingerprint
-	derivedMu.Unlock()
-	if fp == "" {
-		fp = computeFingerprint(n)
-		derivedMu.Lock()
-		derivedOf(n).fingerprint = fp
-		derivedMu.Unlock()
-	}
-	return fp
+	n.fpOnce.Do(func() { n.fp = computeFingerprint(n) })
+	return n.fp
 }
 
-// computeFingerprint is the uncached serialization behind Fingerprint.
+// computeFingerprint is the serialization behind Fingerprint.
 func computeFingerprint(n *Network) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|%d|%d|%d\n", n.Name, n.Batch, int(n.DType), len(n.Layers))

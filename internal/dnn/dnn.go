@@ -14,6 +14,7 @@ package dnn
 
 import (
 	"fmt"
+	"sync"
 
 	"vdnn/internal/cudnnsim"
 	"vdnn/internal/tensor"
@@ -177,7 +178,8 @@ func (l *Layer) ConvGeom(d tensor.DType) cudnnsim.ConvGeom {
 	}
 }
 
-// Network is a validated, immutable network description.
+// Network is a validated, immutable network description, built by
+// Builder.Finalize or WithDType.
 type Network struct {
 	Name  string
 	Batch int
@@ -186,18 +188,25 @@ type Network struct {
 	Layers  []*Layer  // execution order
 	Tensors []*Tensor // all distinct buffers, including the input
 	Input   *Tensor
+
+	// Derived analyses (derived.go), owned by the network and read-only:
+	// indexed by Tensor.ID, filled before the network is handed out.
+	gradInfos []*GradInfo
+	lastBwd   []*Layer
+	fpOnce    sync.Once
+	fp        string
 }
 
-// WithDType returns a shallow copy of the network using a different element
-// type. Shapes and topology are shared; every byte and cost computation
-// scales with the new type. Used for reduced-precision what-if experiments
-// (the paper's related-work Section VI discusses precision as an orthogonal
-// memory lever).
+// WithDType returns a network with the same shapes and topology (layers and
+// tensors are shared) using a different element type; every byte and cost
+// computation scales with the new type, the derived analyses included. Used
+// for reduced-precision what-if experiments (the paper's related-work
+// Section VI discusses precision as an orthogonal memory lever).
 func (n *Network) WithDType(d tensor.DType) *Network {
-	c := *n
-	c.DType = d
-	c.Name = fmt.Sprintf("%s %s", n.Name, d)
-	return &c
+	c := &Network{Name: fmt.Sprintf("%s %s", n.Name, d), Batch: n.Batch, DType: d,
+		Layers: n.Layers, Tensors: n.Tensors, Input: n.Input}
+	c.derive()
+	return c
 }
 
 // FeatureLayers returns the layers vDNN manages.
@@ -246,8 +255,20 @@ func (n *Network) FeatureMapBytes() int64 {
 	return b
 }
 
-// Validate checks the structural invariants the executors rely on.
+// Validate checks the structural invariants the executors rely on, and that
+// the network carries its derived analyses for exactly its tensors.
 func (n *Network) Validate() error {
+	if err := n.validateGraph(); err != nil {
+		return err
+	}
+	if len(n.gradInfos) != len(n.Tensors) || len(n.lastBwd) != len(n.Tensors) {
+		return fmt.Errorf("dnn: %s lacks analyses of its graph; build it with Builder.Finalize", n.Name)
+	}
+	return nil
+}
+
+// validateGraph checks the layer graph's structural invariants.
+func (n *Network) validateGraph() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("dnn: %s has no layers", n.Name)
 	}

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"vdnn/internal/tensor"
@@ -140,12 +141,20 @@ func TestConcatAliasing(t *testing.T) {
 func TestGradientInfosLinear(t *testing.T) {
 	n := linearNet(t, 4)
 	infos := GradientInfos(n)
+	if len(infos) != len(n.Tensors) {
+		t.Fatalf("gradient infos cover %d tensors, want %d", len(infos), len(n.Tensors))
+	}
 	// Buffers needing gradients: conv1.out, conv2.out, pool.out, fc.out.
 	// The input has none; the loss output has none.
-	if len(infos) != 4 {
-		t.Fatalf("gradient buffers = %d, want 4", len(infos))
-	}
-	for _, gi := range infos {
+	roots := 0
+	for id, gi := range infos {
+		if gi == nil {
+			continue
+		}
+		roots++
+		if gi.Root.ID != id {
+			t.Fatalf("gradient of tensor %d stored at index %d", gi.Root.ID, id)
+		}
 		if gi.Start > gi.End {
 			t.Fatalf("inverted interval for tensor %d", gi.Root.ID)
 		}
@@ -153,7 +162,10 @@ func TestGradientInfosLinear(t *testing.T) {
 			t.Fatalf("gradient writer %q not after producer %q", gi.FirstWriter.Name, gi.Root.Producer.Name)
 		}
 	}
-	if _, ok := infos[n.Input]; ok {
+	if roots != 4 {
+		t.Fatalf("gradient buffers = %d, want 4", roots)
+	}
+	if infos[n.Input.ID] != nil {
 		t.Fatal("network input must not get a gradient buffer")
 	}
 }
@@ -233,6 +245,20 @@ func TestValidateRejectsForeignTensors(t *testing.T) {
 		if err := n.Validate(); err == nil {
 			t.Errorf("%s: validate accepted the corrupted network", name)
 		}
+	}
+}
+
+// TestValidateRejectsUnderivedNetwork: a network assembled as a literal,
+// not by Finalize, has no graph analyses; Validate reports that instead of
+// letting an executor index the missing slices.
+func TestValidateRejectsUnderivedNetwork(t *testing.T) {
+	n := linearNet(t, 4)
+	lit := &Network{Name: n.Name, Batch: n.Batch, DType: n.DType, Layers: n.Layers, Tensors: n.Tensors, Input: n.Input}
+	if err := lit.Validate(); err == nil || !strings.Contains(err.Error(), "Finalize") {
+		t.Fatalf("Validate of a network literal = %v, want an error naming Finalize", err)
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatalf("Validate of the finalized network: %v", err)
 	}
 }
 
@@ -387,6 +413,13 @@ func TestAddJoinShapeMismatch(t *testing.T) {
 
 func TestWithDTypeScalesBytes(t *testing.T) {
 	n := linearNet(t, 4)
+	srcFP := Fingerprint(n)
+	var srcBytes []int64
+	for _, gi := range GradientInfos(n) {
+		if gi != nil {
+			srcBytes = append(srcBytes, gi.Bytes)
+		}
+	}
 	h := n.WithDType(tensor.Float16)
 	if h.FeatureMapBytes()*2 != n.FeatureMapBytes() {
 		t.Fatalf("fp16 fm bytes %d, want half of %d", h.FeatureMapBytes(), n.FeatureMapBytes())
@@ -394,13 +427,44 @@ func TestWithDTypeScalesBytes(t *testing.T) {
 	if n.DType != tensor.Float32 {
 		t.Fatal("WithDType mutated the original")
 	}
+	// The copy derives analyses of its own: every gradient root's buffer
+	// halves, and the source network's analyses are untouched.
+	src, half := GradientInfos(n), GradientInfos(h)
+	if len(half) != len(src) {
+		t.Fatalf("fp16 gradient infos cover %d tensors, want %d", len(half), len(src))
+	}
+	roots := 0
+	for id, gi := range src {
+		if gi == nil {
+			if half[id] != nil {
+				t.Fatalf("fp16 copy has a gradient for tensor %d, source has none", id)
+			}
+			continue
+		}
+		if half[id] == nil || half[id].Bytes*2 != gi.Bytes {
+			t.Fatalf("tensor %d: fp16 gradient %+v, want half of %d bytes", id, half[id], gi.Bytes)
+		}
+		if gi.Bytes != srcBytes[roots] {
+			t.Fatalf("tensor %d: WithDType changed the source gradient to %d bytes, was %d",
+				id, gi.Bytes, srcBytes[roots])
+		}
+		roots++
+	}
+	if roots != 4 {
+		t.Fatalf("gradient roots = %d, want 4", roots)
+	}
+	if fp := Fingerprint(h); fp == srcFP || fp == "" {
+		t.Fatalf("fp16 fingerprint %q must differ from the source's", fp)
+	}
+	if Fingerprint(n) != srcFP {
+		t.Fatal("WithDType changed the source network's fingerprint")
+	}
 }
 
-// TestFingerprintMemoPurged checks that the fingerprint lives in the
-// per-network memo: it is served from there, it tells batches apart, and
-// PurgeDerived drops it with the network's other analyses instead of
-// pinning the graph.
-func TestFingerprintMemoPurged(t *testing.T) {
+// TestFingerprintIdentity checks that the fingerprint is the network's
+// structural identity: equal graphs share a non-empty fingerprint, and a
+// different batch changes it.
+func TestFingerprintIdentity(t *testing.T) {
 	n := linearNet(t, 4)
 	fp := Fingerprint(n)
 	if fp == "" || fp != Fingerprint(linearNet(t, 4)) {
@@ -409,20 +473,28 @@ func TestFingerprintMemoPurged(t *testing.T) {
 	if fp == Fingerprint(linearNet(t, 8)) {
 		t.Errorf("a different batch must change the fingerprint")
 	}
-	derivedMu.Lock()
-	memo := derivedMemo[n]
-	derivedMu.Unlock()
-	if memo == nil || memo.fingerprint != fp {
-		t.Fatalf("fingerprint not held in the network's derived memo")
+}
+
+// TestFingerprintConcurrentFirstUse races the first Fingerprint calls on one
+// network: every caller must see the same, fully computed value (run under
+// -race to check the lazy initialization).
+func TestFingerprintConcurrentFirstUse(t *testing.T) {
+	n := linearNet(t, 4)
+	want := Fingerprint(linearNet(t, 4))
+	const callers = 8
+	got := make([]string, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Fingerprint(n)
+		}()
 	}
-	PurgeDerived(n)
-	derivedMu.Lock()
-	_, held := derivedMemo[n]
-	derivedMu.Unlock()
-	if held {
-		t.Errorf("PurgeDerived left the network's memo (and its fingerprint) behind")
-	}
-	if Fingerprint(n) != fp {
-		t.Errorf("fingerprint recomputed after purge differs")
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Fatalf("caller %d saw fingerprint %q, want %q", i, fp, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 )
 
@@ -47,33 +46,20 @@ func GradRoot(t *Tensor) *Tensor {
 	return t
 }
 
-// GradientInfos computes the gradient buffers a training iteration needs,
-// keyed by aliasing root. The network input has no gradient (frameworks skip
-// gradInput for the data layer), and the loss output has no gradient (the
-// loss layer's backward *generates* the seed, Equation 1).
+// GradientInfos returns the gradient buffers a training iteration needs,
+// indexed by the Tensor.ID of their aliasing root; every other entry is nil.
+// The network input has no gradient (frameworks skip gradInput for the data
+// layer), and the loss output has no gradient (the loss layer's backward
+// *generates* the seed, Equation 1).
 //
-// The analysis is memoized per network identity; the returned map is the
-// caller's to reshape (a fresh clone each call), but the *GradInfo values
-// are shared and must not be mutated.
-func GradientInfos(n *Network) map[*Tensor]*GradInfo {
-	derivedMu.Lock()
-	d := derivedOf(n)
-	infos := d.gradInfos
-	derivedMu.Unlock()
-	if infos == nil {
-		infos = computeGradientInfos(n)
-		derivedMu.Lock()
-		derivedOf(n).gradInfos = infos
-		derivedMu.Unlock()
-	}
-	return maps.Clone(infos)
-}
+// The slice is owned by the network and shared between callers: read it, do
+// not mutate it or its values.
+func GradientInfos(n *Network) []*GradInfo { return n.gradInfos }
 
-// computeGradientInfos is the uncached liveness analysis behind
-// GradientInfos.
-func computeGradientInfos(n *Network) map[*Tensor]*GradInfo {
+// computeGradientInfos is the liveness analysis behind GradientInfos.
+func computeGradientInfos(n *Network) []*GradInfo {
 	rev := func(l *Layer) int { return len(n.Layers) - 1 - l.ID }
-	infos := map[*Tensor]*GradInfo{}
+	infos := make([]*GradInfo, len(n.Tensors))
 	for _, t := range n.Tensors {
 		if t.Producer == nil || len(t.Consumer) == 0 {
 			continue // network input or dead-end output (loss)
@@ -82,10 +68,10 @@ func computeGradientInfos(n *Network) map[*Tensor]*GradInfo {
 		if root.Producer == nil {
 			continue
 		}
-		gi := infos[root]
+		gi := infos[root.ID]
 		if gi == nil {
 			gi = &GradInfo{Root: root, Bytes: root.Bytes(n.DType), Start: -1, End: -1}
-			infos[root] = gi
+			infos[root.ID] = gi
 		}
 		// First writer: consumer with the highest layer ID across the alias set.
 		for _, c := range t.Consumer {
@@ -99,6 +85,9 @@ func computeGradientInfos(n *Network) map[*Tensor]*GradInfo {
 		}
 	}
 	for _, gi := range infos {
+		if gi == nil {
+			continue
+		}
 		gi.Start = rev(gi.FirstWriter)
 		gi.End = rev(gi.LastReader)
 		if gi.Start > gi.End {
@@ -113,7 +102,9 @@ func computeGradientInfos(n *Network) map[*Tensor]*GradInfo {
 type GradPlan struct {
 	SlotBytes []int64         // size of each shared buffer
 	SlotOf    map[*Tensor]int // gradient root -> slot index
-	Infos     map[*Tensor]*GradInfo
+	// Infos lists the planned gradients in assignment order: by interval
+	// start, ties by root ID.
+	Infos []*GradInfo
 }
 
 // TotalBytes is the memory the baseline allocates for all gradient maps.
@@ -137,15 +128,11 @@ func PlanGradientSlots(n *Network) *GradPlan {
 // The executors use it to scope the shared buffers to the vDNN-managed
 // feature-extraction stage.
 func PlanGradientSlotsWhere(n *Network, keep func(*GradInfo) bool) *GradPlan {
-	infos := GradientInfos(n)
-	for root, gi := range infos {
-		if !keep(gi) {
-			delete(infos, root)
+	var order []*GradInfo
+	for _, gi := range n.gradInfos {
+		if gi != nil && keep(gi) {
+			order = append(order, gi)
 		}
-	}
-	order := make([]*GradInfo, 0, len(infos))
-	for _, gi := range infos {
-		order = append(order, gi)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].Start != order[j].Start {
@@ -154,7 +141,7 @@ func PlanGradientSlotsWhere(n *Network, keep func(*GradInfo) bool) *GradPlan {
 		return order[i].Root.ID < order[j].Root.ID
 	})
 
-	plan := &GradPlan{SlotOf: map[*Tensor]int{}, Infos: infos}
+	plan := &GradPlan{SlotOf: make(map[*Tensor]int, len(order)), Infos: order}
 	type slot struct {
 		bytes  int64
 		freeAt int // last end step occupied (inclusive)
@@ -193,9 +180,10 @@ func PlanGradientSlotsWhere(n *Network, keep func(*GradInfo) bool) *GradPlan {
 // VerifyGradPlan checks that no two gradients sharing a slot overlap in
 // time; used by tests and executor self-checks.
 func VerifyGradPlan(p *GradPlan) error {
-	bySlot := map[int][]*GradInfo{}
-	for root, s := range p.SlotOf {
-		bySlot[s] = append(bySlot[s], p.Infos[root])
+	bySlot := make([][]*GradInfo, len(p.SlotBytes))
+	for _, gi := range p.Infos {
+		s := p.SlotOf[gi.Root]
+		bySlot[s] = append(bySlot[s], gi)
 	}
 	for s, gis := range bySlot {
 		sort.Slice(gis, func(i, j int) bool { return gis[i].Start < gis[j].Start })

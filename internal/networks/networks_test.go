@@ -246,8 +246,7 @@ func TestGradPlansForAllNetworks(t *testing.T) {
 		}
 		// Shared gradient memory must be far below per-buffer allocation.
 		var naive int64
-		for root, gi := range plan.Infos {
-			_ = root
+		for _, gi := range plan.Infos {
 			naive += gi.Bytes
 		}
 		if plan.TotalBytes() >= naive {

@@ -315,10 +315,11 @@ func (e *Engine) Stats() Stats {
 }
 
 // PurgeNetwork drops every cached result keyed by the given network
-// instance — structure entries included — along with the network's memoized
-// derived data in package dnn. Callers that evict a network from their own
-// memoization use it so results keyed by the dead identity — unreachable by
-// any future request — do not pin the graph forever in an unbounded cache.
+// instance, structure entries included. Callers that evict a network from
+// their own memoization use it so results keyed by the dead identity —
+// unreachable by any future request — do not pin the graph forever in an
+// unbounded cache. The network's graph analyses live on the network itself
+// and go with it.
 // An in-flight entry finishes normally for its waiters and is then deleted
 // asynchronously.
 func (e *Engine) PurgeNetwork(net *dnn.Network) {
@@ -352,7 +353,6 @@ func (e *Engine) PurgeNetwork(net *dnn.Network) {
 		}
 		sh.mu.Unlock()
 	}
-	dnn.PurgeDerived(net)
 }
 
 // evictLocked drops oldest completed entries until the cache fits the bound
