@@ -99,12 +99,6 @@ func (g ConvGeom) OutH() int { return tensor.ConvOut(g.H, g.R, g.StrideH, g.PadH
 // OutW returns the output width.
 func (g ConvGeom) OutW() int { return tensor.ConvOut(g.W, g.S, g.StrideW, g.PadW, false) }
 
-// InShape returns the input tensor shape.
-func (g ConvGeom) InShape() tensor.Shape { return tensor.NCHW(g.N, g.C, g.H, g.W) }
-
-// OutShape returns the output tensor shape.
-func (g ConvGeom) OutShape() tensor.Shape { return tensor.NCHW(g.N, g.K, g.OutH(), g.OutW()) }
-
 // WeightBytes returns the filter bank footprint.
 func (g ConvGeom) WeightBytes() int64 {
 	return int64(g.K) * int64(g.C) * int64(g.R) * int64(g.S) * g.DType.Size()

@@ -6,6 +6,7 @@ import (
 
 	"vdnn"
 	"vdnn/internal/gpu"
+	"vdnn/internal/sweep"
 )
 
 // TestParallelSuiteByteIdentical is the engine's acceptance criterion at the
@@ -87,5 +88,35 @@ func TestExperimentsShareCache(t *testing.T) {
 	}
 	if after := s.Simulator().Stats().Simulations; after != before {
 		t.Errorf("regeneration ran %d extra simulations, want 0", after-before)
+	}
+}
+
+// TestReproCounters pins what the differential path buys on the real
+// evaluation: the vdnn-repro schedule at parallelism 1 — every experiment's
+// Jobs() collected in Experiments() order and primed as one batch — costs
+// exactly these top-level simulations, structure builds and priced points,
+// and formatting every table afterwards simulates nothing. Simulations
+// counts only top-level requests, so the numbers depend on batch order.
+func TestReproCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full evaluation suite; skipped in -short mode")
+	}
+	s := NewSuiteSim(gpu.TitanX(), vdnn.NewSimulator(vdnn.WithParallelism(1)))
+	exps := s.Experiments()
+	var batch []sweep.Job
+	for _, e := range exps {
+		batch = append(batch, e.Jobs()...)
+	}
+	s.Prime(batch)
+	st := s.Simulator().Stats()
+	if st.Simulations != 234 || st.Structures != 158 || st.Priced != 49 {
+		t.Errorf("primed evaluation: %d simulations (%d structures, %d priced), want 234 (158 structures, 49 priced)",
+			st.Simulations, st.Structures, st.Priced)
+	}
+	for _, e := range exps {
+		e.Gen()
+	}
+	if after := s.Simulator().Stats().Simulations; after != st.Simulations {
+		t.Errorf("formatting every experiment ran %d simulations, want 0", after-st.Simulations)
 	}
 }

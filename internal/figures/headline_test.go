@@ -78,3 +78,53 @@ func TestHeadlineFig6ReuseDistance(t *testing.T) {
 		t.Errorf("VGG-16 (64) conv1_1 reuse distance %s ms, pinned 2183.9 ms (paper: over 1200 ms)", got)
 	}
 }
+
+func TestHeadlineFig12Offload(t *testing.T) {
+	tb := suite.Fig12()
+	for _, c := range []struct {
+		col  int
+		name string
+		want string
+	}{
+		{1, "vDNN-all", "14847"},
+		{2, "vDNN-conv", "8869"},
+	} {
+		if got := cell(t, tb.Rows, "VGG-16 (256)", c.col); got != c.want {
+			t.Errorf("VGG-16 (256) %s offload %s MB, pinned %s MB (paper: ~15-16 GB)", c.name, got, c.want)
+		}
+	}
+}
+
+func TestHeadlineFig13Bandwidth(t *testing.T) {
+	tb := suite.Fig13()
+	if got := cell(t, tb.Rows, "conv1_1", 3); got != "85%" {
+		t.Errorf("VGG-16 (128) conv1_1 at %s of the 336 GB/s peak, pinned 85%% (paper: every layer leaves headroom for <= 16 GB/s PCIe traffic)", got)
+	}
+	worst := 0
+	for _, r := range tb.Rows {
+		worst = max(worst, parsePct(t, r[3]))
+	}
+	if worst != 85 {
+		t.Errorf("worst layer at %d%% of peak, pinned 85%% at conv1_1 (paper: every layer leaves headroom for <= 16 GB/s PCIe traffic)", worst)
+	}
+}
+
+func TestHeadlineFig15(t *testing.T) {
+	tb := suite.Fig15()
+	for _, c := range []struct {
+		net  string
+		want string
+	}{
+		{"VGG-116 (32)", "81%"},
+		{"VGG-216 (32)", "87%"},
+		{"VGG-316 (32)", "89%"},
+		{"VGG-416 (32)", "91%"},
+	} {
+		if got := cell(t, tb.Rows, c.net, 3); got != c.want {
+			t.Errorf("%s vDNN-dyn CPU share %s, pinned %s (paper: 81-92%%)", c.net, got, c.want)
+		}
+	}
+	if got := cell(t, tb.Rows, "VGG-416 (32)", 4); got != "68446" {
+		t.Errorf("VGG-416 (32) base requirement %s MB, pinned 68446 MB (paper: 67.1 GB)", got)
+	}
+}

@@ -53,9 +53,6 @@ func NewSharedChannel(name string, capacityBps float64) *SharedChannel {
 	return &SharedChannel{Name: name, capacity: capacityBps}
 }
 
-// CapacityBps returns the channel's aggregate bandwidth.
-func (c *SharedChannel) CapacityBps() float64 { return c.capacity }
-
 // Reservations returns how many transfers the channel has arbitrated.
 func (c *SharedChannel) Reservations() int { return c.reservations }
 

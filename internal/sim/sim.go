@@ -91,9 +91,6 @@ type Op struct {
 	depbuf [4]*Op // inline storage for deps: nearly every op has ≤4 (stream order + a few events)
 }
 
-// Deps returns the ops this op waited on (program order and events).
-func (o *Op) Deps() []*Op { return o.deps }
-
 // Engine is a serial hardware resource: at most one op executes at a time,
 // in the order ops were issued to it.
 type Engine struct {
