@@ -90,16 +90,20 @@ type explorer struct {
 	name string
 }
 
-// net resolves through the simulator's memoized network cache, so every
-// sweep of one invocation shares identity-stable instances (the result
-// cache keys on them).
-func (e *explorer) net(batch int) *vdnn.Network {
-	n, err := e.sim.Network(e.name, batch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vdnn-explore:", err)
-		os.Exit(1)
+// nets resolves the network at each batch size through the simulator's
+// memoized network cache, so every sweep of one invocation shares
+// identity-stable instances (the result cache keys on them).
+func (e *explorer) nets(batches ...int) []*vdnn.Network {
+	ns := make([]*vdnn.Network, len(batches))
+	for i, b := range batches {
+		n, err := e.sim.Network(e.name, b)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vdnn-explore:", err)
+			os.Exit(1)
+		}
+		ns[i] = n
 	}
-	return n
+	return ns
 }
 
 // runAll simulates one sweep's configurations as a concurrent batch.
@@ -110,18 +114,6 @@ func (e *explorer) runAll(jobs []vdnn.BatchJob) []*vdnn.Result {
 		os.Exit(1)
 	}
 	return res
-}
-
-// cross enumerates a sweep with the planner's generator and pairs every
-// configuration with the network. Axis order follows plan.Cross: the first
-// axis varies slowest, the last fastest.
-func (e *explorer) cross(n *vdnn.Network, base vdnn.Config, axes ...plan.Axis) []vdnn.BatchJob {
-	cfgs := plan.Cross(base, axes...)
-	jobs := make([]vdnn.BatchJob, len(cfgs))
-	for i, c := range cfgs {
-		jobs[i] = vdnn.BatchJob{Net: n, Cfg: c}
-	}
-	return jobs
 }
 
 // trainAxis is the trainability face-off most sweeps tabulate: the fastest
@@ -139,8 +131,7 @@ func (e *explorer) capacitySweep(batch int) {
 	for _, gb := range gbs {
 		capacity = append(capacity, plan.CapacityVariant(gb<<30))
 	}
-	n := e.net(batch)
-	res := e.runAll(e.cross(n, vdnn.Config{Spec: vdnn.TitanX()}, capacity, trainAxis()))
+	res := e.runAll(plan.CrossJobs(e.nets(batch), vdnn.Config{Spec: vdnn.TitanX()}, capacity, trainAxis()))
 
 	t := report.NewTable(fmt.Sprintf("GPU capacity sweep — %s (%d)", e.name, batch),
 		"capacity (GB)", "base(p)", "vDNN-dyn", "dyn max usage (MB)", "dyn FE (ms)")
@@ -153,23 +144,16 @@ func (e *explorer) capacitySweep(batch int) {
 }
 
 func (e *explorer) linkSweep(batch int) {
-	// Resolve each link once: a variant's Label is the link's display name,
-	// which the registry does not look up.
 	var links []vdnn.Link
 	var axis plan.Axis
 	for _, name := range []string{"pcie2", "pcie3", "nvlink"} {
 		link := mustLink(name)
 		links = append(links, link)
-		axis = append(axis, plan.Variant{Label: link.Name, Apply: func(c vdnn.Config) vdnn.Config {
-			c.Spec.Link = link
-			return c
-		}})
+		axis = append(axis, plan.LinkVariant(link))
 	}
-	n := e.net(batch)
-	jobs := []vdnn.BatchJob{
-		{Net: n, Cfg: vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNConv, Algo: vdnn.MemOptimal, Oracle: true}},
-	}
-	jobs = append(jobs, e.cross(n,
+	n := e.nets(batch)
+	jobs := plan.CrossJobs(n, vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNConv, Algo: vdnn.MemOptimal, Oracle: true})
+	jobs = append(jobs, plan.CrossJobs(n,
 		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal, Oracle: true}, axis)...)
 	res := e.runAll(jobs)
 	oracle := res[0]
@@ -195,11 +179,7 @@ func (e *explorer) batchSweep() {
 		plan.PolicyVariant(vdnn.Baseline, vdnn.MemOptimal),
 		plan.PolicyVariant(vdnn.VDNNDyn, 0),
 	}
-	var jobs []vdnn.BatchJob
-	for _, b := range batches {
-		jobs = append(jobs, e.cross(e.net(b), vdnn.Config{Spec: vdnn.TitanX()}, policies)...)
-	}
-	res := e.runAll(jobs)
+	res := e.runAll(plan.CrossJobs(e.nets(batches...), vdnn.Config{Spec: vdnn.TitanX()}, policies))
 
 	t := report.NewTable(fmt.Sprintf("batch-size sweep — %s on 12 GB", e.name),
 		"batch", "base(p)", "base(m)", "vDNN-dyn", "dyn FE (ms)")
@@ -217,8 +197,7 @@ func (e *explorer) prefetchSweep(batch int) {
 	for _, m := range modes {
 		schedules = append(schedules, plan.PrefetchVariant(m))
 	}
-	n := e.net(batch)
-	res := e.runAll(e.cross(n,
+	res := e.runAll(plan.CrossJobs(e.nets(batch),
 		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal, Oracle: true}, schedules))
 
 	t := report.NewTable(fmt.Sprintf("prefetch schedule sweep — %s (%d), vDNN-all(m)", e.name, batch),
@@ -239,8 +218,7 @@ func (e *explorer) pagemigSweep(batch int) {
 			return c
 		}},
 	}
-	n := e.net(batch)
-	res := e.runAll(e.cross(n,
+	res := e.runAll(plan.CrossJobs(e.nets(batch),
 		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal, Oracle: true}, transfer))
 	dma, pm := res[0], res[1]
 
@@ -266,8 +244,7 @@ func (e *explorer) devicesSweep(batch int) {
 		plan.PolicyVariant(vdnn.VDNNAll, vdnn.MemOptimal),
 		plan.PolicyVariant(vdnn.Baseline, vdnn.PerfOptimal),
 	}
-	n := e.net(batch)
-	res := e.runAll(e.cross(n, vdnn.Config{Spec: vdnn.TitanX()}, replicas, policies))
+	res := e.runAll(plan.CrossJobs(e.nets(batch), vdnn.Config{Spec: vdnn.TitanX()}, replicas, policies))
 
 	t := report.NewTable(fmt.Sprintf("device sweep — %s (%d per replica), shared x16 root complex", e.name, batch),
 		"GPUs", "vDNN-all step/replica (ms)", "stall (ms)", "overlap", "imbalance", "base(p) step/replica (ms)", "aggregate img/s (vDNN)")
@@ -296,8 +273,7 @@ func (e *explorer) stagesSweep(batch int) {
 	for _, p := range points {
 		shapes = append(shapes, plan.PipelineVariant(p.stages, p.microBatches, topology))
 	}
-	n := e.net(batch)
-	res := e.runAll(e.cross(n,
+	res := e.runAll(plan.CrossJobs(e.nets(batch),
 		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal}, shapes))
 
 	t := report.NewTable(fmt.Sprintf("pipeline-stage sweep — %s (%d), vDNN-all(m), shared x16 root complex", e.name, batch),
@@ -335,8 +311,7 @@ func (e *explorer) codecSweep(batch int) {
 	for _, p := range points {
 		codecs = append(codecs, plan.CodecVariant(p.codec, p.sparsity))
 	}
-	n := e.net(batch)
-	res := e.runAll(e.cross(n,
+	res := e.runAll(plan.CrossJobs(e.nets(batch),
 		vdnn.Config{Spec: vdnn.TitanX(), Policy: vdnn.VDNNAll, Algo: vdnn.MemOptimal}, codecs))
 
 	t := report.NewTable(fmt.Sprintf("codec sweep — %s (%d), vDNN-all(m)", e.name, batch),

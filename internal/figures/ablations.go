@@ -2,11 +2,13 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 
 	"vdnn/internal/core"
 	"vdnn/internal/dnn"
 	"vdnn/internal/networks"
 	"vdnn/internal/pcie"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -14,26 +16,23 @@ import (
 // Ablations for the design decisions the paper argues qualitatively. All use
 // VGG-16 as the stress workload.
 
+// prefetchModes are the prefetch ablation's schedules, in row order.
+var prefetchModes = []core.PrefetchMode{core.PrefetchJIT, core.PrefetchFig10, core.PrefetchEager, core.PrefetchNone}
+
+func (s *Suite) ablationPrefetchJobs() []sweep.Job {
+	return s.cross(s.vgg16(64), plan.Axis{oracle(allM)}, axis(plan.PrefetchVariant, prefetchModes...))
+}
+
 // AblationPrefetch compares prefetch schedules on VGG-16 (64) under
 // vDNN-all(m): the paper's just-in-time schedule (Figure 9), the literal
 // Figure 10 search-window code, eager prefetching (the pitfall Section III-B
 // warns about), and no prefetching (the naive serialized case).
-func (s *Suite) ablationPrefetchJobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	var js []sweep.Job
-	for _, m := range []core.PrefetchMode{core.PrefetchJIT, core.PrefetchFig10, core.PrefetchEager, core.PrefetchNone} {
-		js = append(js, job(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true, Prefetch: m}))
-	}
-	return js
-}
-
 func (s *Suite) AblationPrefetch() *report.Table {
-	s.Prime(s.ablationPrefetchJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
+	rs := s.Prime(s.ablationPrefetchJobs())
 	t := report.NewTable("Ablation — prefetch scheduling (VGG-16 (64), vDNN-all(m))",
 		"schedule", "max usage (MB)", "avg usage (MB)", "FE time (ms)", "on-demand fetches")
-	for _, m := range []core.PrefetchMode{core.PrefetchJIT, core.PrefetchFig10, core.PrefetchEager, core.PrefetchNone} {
-		r := s.Run(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true, Prefetch: m})
+	for i, m := range prefetchModes {
+		r := rs[i]
 		t.AddRow(m.String(), report.FmtMiB(r.MaxUsage), report.FmtMiB(r.AvgUsage),
 			report.FmtMs(int64(r.FETime)), fmt.Sprintf("%d", r.OnDemandFetches))
 	}
@@ -41,25 +40,20 @@ func (s *Suite) AblationPrefetch() *report.Table {
 	return t
 }
 
+func (s *Suite) ablationPageMigrationJobs() []sweep.Job {
+	return s.cross(s.vgg16(64), plan.Axis{oracle(allM)},
+		toggle("page migration", func(c *core.Config) { c.PageMigration = true }))
+}
+
 // AblationPageMigration reproduces the Section II-C argument quantitatively:
 // page-migration-based virtualization (80-200 MB/s) versus pinned DMA
 // (12.8 GB/s) for vDNN's transfers.
-func (s *Suite) ablationPageMigrationJobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	return []sweep.Job{
-		job(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true}),
-		job(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true, PageMigration: true}),
-	}
-}
-
 func (s *Suite) AblationPageMigration() *report.Table {
-	s.Prime(s.ablationPageMigrationJobs())
+	rs := s.Prime(s.ablationPageMigrationJobs())
+	dma, pm := rs[0], rs[1]
 	link := s.Spec.Link
 	t := report.NewTable("Ablation — DMA vs page-migration transfers (Section II-C)",
 		"transfer mode", "effective bandwidth", "VGG-16 (64) FE time (ms)", "slowdown")
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	dma := s.Run(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true})
-	pm := s.Run(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true, PageMigration: true})
 	t.AddRow("pinned DMA", fmt.Sprintf("%.1f GB/s", float64(link.EffBps)/1e9),
 		report.FmtMs(int64(dma.FETime)), "1.0x")
 	t.AddRow("page migration", fmt.Sprintf("%.0f MB/s", link.PageMigrationBps()/1e6),
@@ -68,81 +62,66 @@ func (s *Suite) AblationPageMigration() *report.Table {
 	return t
 }
 
+// ablationLinks are the interconnect ablation's host links, in row order.
+var ablationLinks = []pcie.Link{pcie.Gen2x16(), pcie.Gen3x16(), pcie.NVLink1()}
+
+// ablationInterconnectJobs is the oracle baseline, then vDNN-all(m) over
+// each link; every link's device is named after it ("<device>+<link>").
+func (s *Suite) ablationInterconnectJobs() []sweep.Job {
+	n := s.vgg16(128)
+	links := axis(func(l pcie.Link) plan.Variant { return renamed(plan.LinkVariant(l), "+") }, ablationLinks...)
+	return append(s.cross(n, plan.Axis{oracle(baseP)}), s.cross(n, plan.Axis{oracle(allM)}, links)...)
+}
+
 // AblationInterconnect sweeps the host link: PCIe gen2/gen3 and NVLINK (the
 // successor interconnect the paper names in Section III-A), showing how
 // static vDNN's offload stalls shrink as the link speeds up.
-func (s *Suite) ablationInterconnectJobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(128) }, "vgg16-128")
-	js := []sweep.Job{job(n, core.Config{Spec: s.Spec, Policy: core.Baseline, Algo: core.PerfOptimal, Oracle: true})}
-	for _, link := range []pcie.Link{pcie.Gen2x16(), pcie.Gen3x16(), pcie.NVLink1()} {
-		spec := s.Spec
-		spec.Link = link
-		spec.Name = s.Spec.Name + "+" + link.Name
-		js = append(js, job(n, core.Config{Spec: spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true}))
-	}
-	return js
-}
-
 func (s *Suite) AblationInterconnect() *report.Table {
-	s.Prime(s.ablationInterconnectJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(128) }, "vgg16-128")
+	rs := s.Prime(s.ablationInterconnectJobs())
+	target := rs[0]
 	t := report.NewTable("Ablation — interconnect bandwidth (VGG-16 (128), vDNN-all(m))",
 		"link", "effective GB/s", "FE time (ms)", "vs oracle baseline")
-	oracle := s.oracleBaseline(n)
-	for _, link := range []pcie.Link{pcie.Gen2x16(), pcie.Gen3x16(), pcie.NVLink1()} {
-		spec := s.Spec
-		spec.Link = link
-		spec.Name = s.Spec.Name + "+" + link.Name
-		r := s.Run(n, core.Config{Spec: spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true})
+	for i, link := range ablationLinks {
+		r := rs[1+i]
 		t.AddRow(link.Name, fmt.Sprintf("%.1f", float64(link.EffBps)/1e9),
 			report.FmtMs(int64(r.FETime)),
-			fmt.Sprintf("%.2f", float64(oracle.FETime)/float64(r.FETime)))
+			fmt.Sprintf("%.2f", float64(target.FETime)/float64(r.FETime)))
 	}
 	t.AddNote("the residual (m)-mode gap is the implicit-GEMM algorithm penalty, not transfer stalls")
 	return t
 }
 
-// AblationCapacity sweeps the GPU memory size for VGG-16 (256): where the
-// baseline, static vDNN and dynamic vDNN become trainable.
+// ablationCapacitiesGB are the capacity ablation's device sizes, in row
+// order.
+var ablationCapacitiesGB = []int64{6, 8, 12, 16, 24, 32}
+
+// ablationCapacityJobs crosses each capacity, its device named after it
+// ("<device>-<N>GB"), with the table's four policy columns.
 func (s *Suite) ablationCapacityJobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
-	var js []sweep.Job
-	for _, gb := range []int64{6, 8, 12, 16, 24, 32} {
-		spec := s.Spec.WithMemory(gb << 30)
-		spec.Name = fmt.Sprintf("%s-%dGB", s.Spec.Name, gb)
-		for _, pa := range []struct {
-			p core.Policy
-			a core.AlgoMode
-		}{
-			{core.Baseline, core.PerfOptimal}, {core.VDNNConv, core.PerfOptimal},
-			{core.VDNNAll, core.MemOptimal}, {core.VDNNDyn, 0},
-		} {
-			js = append(js, job(n, core.Config{Spec: spec, Policy: pa.p, Algo: pa.a}))
-		}
-	}
-	return js
+	capacities := axis(func(gb int64) plan.Variant { return renamed(plan.CapacityVariant(gb<<30), "-") },
+		ablationCapacitiesGB...)
+	return s.cross(s.vgg16(256), capacities, plan.Axis{baseP, convP, allM, dynamic})
 }
 
+// AblationCapacity sweeps the GPU memory size for VGG-16 (256): where the
+// baseline, static vDNN and dynamic vDNN become trainable.
 func (s *Suite) AblationCapacity() *report.Table {
-	s.Prime(s.ablationCapacityJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
 	t := report.NewTable("Ablation — GPU memory capacity sweep (VGG-16 (256))",
 		"capacity", "base(p)", "vDNN-conv(p)", "vDNN-all(m)", "vDNN-dyn")
-	for _, gb := range []int64{6, 8, 12, 16, 24, 32} {
-		spec := s.Spec.WithMemory(gb << 30)
-		spec.Name = fmt.Sprintf("%s-%dGB", s.Spec.Name, gb)
-		cell := func(p core.Policy, a core.AlgoMode) string {
-			r := s.Run(n, core.Config{Spec: spec, Policy: p, Algo: a})
-			return yesNo(r.Trainable)
-		}
-		t.AddRow(fmt.Sprintf("%d GB", gb),
-			cell(core.Baseline, core.PerfOptimal),
-			cell(core.VDNNConv, core.PerfOptimal),
-			cell(core.VDNNAll, core.MemOptimal),
-			cell(core.VDNNDyn, 0))
+	for i, row := range rows(s.Prime(s.ablationCapacityJobs()), 4) {
+		t.AddRow(trainRow(fmt.Sprintf("%d GB", ablationCapacitiesGB[i]), row)...)
 	}
 	t.AddNote("vDNN pushes the trainability threshold far below the 28 GB the baseline needs")
 	return t
+}
+
+func (s *Suite) weightOffloadNets() []*dnn.Network {
+	return slices.Concat(s.netsOf("overfeat", networks.OverFeat, 128), s.vgg16(64))
+}
+
+func (s *Suite) ablationWeightOffloadJobs() []sweep.Job {
+	return s.cross(s.weightOffloadNets(), plan.Axis{oracle(allM)},
+		toggle("offload weights", func(c *core.Config) { c.OffloadWeights = true }))
 }
 
 // AblationWeightOffload quantifies the extension the paper sketches in
@@ -150,33 +129,14 @@ func (s *Suite) AblationCapacity() *report.Table {
 // weights as well. As the paper predicts, the extra savings are small —
 // weights are a sliver of feature-extraction memory (Figure 4) — while the
 // transfer traffic grows.
-func (s *Suite) ablationWeightOffloadJobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range []*dnn.Network{
-		s.net(func() *dnn.Network { return networks.OverFeat(128) }, "overfeat128"),
-		s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64"),
-	} {
-		js = append(js, job(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true}),
-			job(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true, OffloadWeights: true}))
-	}
-	return js
-}
-
 func (s *Suite) AblationWeightOffload() *report.Table {
-	s.Prime(s.ablationWeightOffloadJobs())
+	nets := s.weightOffloadNets()
 	t := report.NewTable("Ablation — offloading weights too (vDNN-all(m))",
 		"network", "avg MB", "avg MB (+W)", "extra savings", "offload MB", "offload MB (+W)", "FE ms", "FE ms (+W)")
-	for _, name := range []string{"overfeat", "vgg16"} {
-		var n *dnn.Network
-		if name == "overfeat" {
-			n = s.net(func() *dnn.Network { return networks.OverFeat(128) }, "overfeat128")
-		} else {
-			n = s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-		}
-		base := s.Run(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true})
-		ext := s.Run(n, core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal, Oracle: true, OffloadWeights: true})
+	for i, row := range rows(s.Prime(s.ablationWeightOffloadJobs()), 2) {
+		base, ext := row[0], row[1]
 		extra := 1 - float64(ext.AvgUsage)/float64(base.AvgUsage)
-		t.AddRow(n.Name,
+		t.AddRow(nets[i].Name,
 			report.FmtMiB(base.AvgUsage), report.FmtMiB(ext.AvgUsage), report.FmtPct(extra),
 			report.FmtMiB(base.OffloadBytes), report.FmtMiB(ext.OffloadBytes),
 			report.FmtMs(int64(base.FETime)), report.FmtMs(int64(ext.FETime)))
@@ -185,40 +145,20 @@ func (s *Suite) AblationWeightOffload() *report.Table {
 	return t
 }
 
-// AblationBatchScaling shows the largest trainable VGG-16 batch per policy
-// on the 12 GB device — the practitioner's view of vDNN's benefit.
+// ablationBatches are the batch ablation's VGG-16 batch sizes, in row order.
+var ablationBatches = []int{32, 64, 128, 192, 256, 384}
+
 func (s *Suite) ablationBatchScalingJobs() []sweep.Job {
-	var js []sweep.Job
-	for _, batch := range []int{32, 64, 128, 192, 256, 384} {
-		n := s.net(func() *dnn.Network { return networks.VGG16(batch) }, fmt.Sprintf("vgg16-%d", batch))
-		for _, pa := range []struct {
-			p core.Policy
-			a core.AlgoMode
-		}{
-			{core.Baseline, core.PerfOptimal}, {core.Baseline, core.MemOptimal},
-			{core.VDNNConv, core.PerfOptimal}, {core.VDNNAll, core.MemOptimal},
-			{core.VDNNDyn, 0},
-		} {
-			js = append(js, job(n, s.cfg(pa.p, pa.a)))
-		}
-	}
-	return js
+	return s.cross(s.vgg16(ablationBatches...), plan.Axis{baseP, baseM, convP, allM, dynamic})
 }
 
+// AblationBatchScaling shows the largest trainable VGG-16 batch per policy
+// on the 12 GB device — the practitioner's view of vDNN's benefit.
 func (s *Suite) AblationBatchScaling() *report.Table {
-	s.Prime(s.ablationBatchScalingJobs())
 	t := report.NewTable("Ablation — largest trainable VGG-16 batch size on 12 GB",
 		"batch", "base(p)", "base(m)", "vDNN-conv(p)", "vDNN-all(m)", "vDNN-dyn")
-	for _, batch := range []int{32, 64, 128, 192, 256, 384} {
-		n := s.net(func() *dnn.Network { return networks.VGG16(batch) }, fmt.Sprintf("vgg16-%d", batch))
-		cell := func(p core.Policy, a core.AlgoMode) string {
-			r := s.Run(n, core.Config{Spec: s.Spec, Policy: p, Algo: a})
-			return yesNo(r.Trainable)
-		}
-		t.AddRow(fmt.Sprintf("%d", batch),
-			cell(core.Baseline, core.PerfOptimal), cell(core.Baseline, core.MemOptimal),
-			cell(core.VDNNConv, core.PerfOptimal), cell(core.VDNNAll, core.MemOptimal),
-			cell(core.VDNNDyn, 0))
+	for i, row := range rows(s.Prime(s.ablationBatchScalingJobs()), 5) {
+		t.AddRow(trainRow(fmt.Sprintf("%d", ablationBatches[i]), row)...)
 	}
 	return t
 }

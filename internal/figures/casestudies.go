@@ -2,15 +2,20 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 
-	"vdnn/internal/core"
 	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
 	"vdnn/internal/networks"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 	"vdnn/internal/tensor"
 )
+
+func (s *Suite) caseStudyMultiGPUJobs() []sweep.Job {
+	return append(s.cross(s.vgg16(64), plan.Axis{baseP}), s.cross(s.vgg16(256), plan.Axis{dynamic})...)
+}
 
 // CaseStudyMultiGPU quantifies the alternative the paper's introduction
 // names: instead of virtualizing memory, "parallelize the DNN across
@@ -18,31 +23,20 @@ import (
 // VGG-16 (64), one per GPU. This table compares that data-parallel setup
 // (per-iteration gradient all-reduce over PCIe included) against a single
 // vDNN GPU running the full batch.
-func (s *Suite) caseStudyMultiGPUJobs() []sweep.Job {
-	return []sweep.Job{
-		job(s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64"),
-			s.cfg(core.Baseline, core.PerfOptimal)),
-		job(s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256"),
-			s.cfg(core.VDNNDyn, 0)),
-	}
-}
-
 func (s *Suite) CaseStudyMultiGPU() *report.Table {
-	s.Prime(s.caseStudyMultiGPUJobs())
-	n64 := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	n256 := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
+	rs := s.Prime(s.caseStudyMultiGPUJobs())
 
 	// 4-GPU data parallel: each GPU runs batch 64 under the baseline, then a
 	// ring all-reduce exchanges the weight gradients: 2*(N-1)/N of the model
 	// per GPU over the 12.8 GB/s link.
 	const gpus = 4
-	per := s.Run(n64, s.cfg(core.Baseline, core.PerfOptimal))
-	gradBytes := float64(n64.TotalWeightBytes())
+	per := rs[0]
+	gradBytes := float64(s.vgg16(64)[0].TotalWeightBytes())
 	allreduce := 2 * float64(gpus-1) / float64(gpus) * gradBytes / float64(s.Spec.Link.EffBps) * 1e9 // ns
 	dpIter := float64(per.IterTime) + allreduce
 
 	// 1 GPU with vDNN-dyn on the full batch.
-	dyn := s.Run(n256, s.cfg(core.VDNNDyn, 0))
+	dyn := rs[1]
 
 	imgsPerSec := func(batch int, iterNs float64) float64 { return float64(batch) / (iterNs / 1e9) }
 	dpThroughput := imgsPerSec(256, dpIter)
@@ -61,50 +55,39 @@ func (s *Suite) CaseStudyMultiGPU() *report.Table {
 	return t
 }
 
-// CaseStudyPrecision is a reduced-precision what-if (the paper's related
-// work, Section VI, positions precision as an orthogonal memory lever):
-// the same networks with FP16 tensors, halving every feature map, weight
-// and workspace.
-// precisionNets returns the case study's [fp32, fp16] network pairs in row
-// order.
+// precisionNets returns the precision case study's [fp32, fp16] network
+// pairs in row order.
 func (s *Suite) precisionNets() [][2]*dnn.Network {
 	var out [][2]*dnn.Network
-	for _, key := range []string{"vgg16-128", "vgg16-256", "vgg416"} {
-		var n *dnn.Network
-		switch key {
-		case "vgg16-128":
-			n = s.net(func() *dnn.Network { return networks.VGG16(128) }, key)
-		case "vgg16-256":
-			n = s.net(func() *dnn.Network { return networks.VGG16(256) }, key)
-		default:
-			n = s.net(func() *dnn.Network { return networks.VGGDeep(416, 32) }, key)
-		}
-		h := s.net(func() *dnn.Network { return n.WithDType(tensor.Float16) }, key+"-fp16")
+	for _, n := range slices.Concat(s.vgg16(128, 256), s.vggDeep(416)) {
+		h := s.net(func() *dnn.Network { return n.WithDType(tensor.Float16) }, n.Name+" fp16")
 		out = append(out, [2]*dnn.Network{n, h})
 	}
 	return out
 }
 
+// caseStudyPrecisionJobs lists, per pair, the fp32 baseline(p), then the
+// fp16 baseline(p) and vDNN-dyn.
 func (s *Suite) caseStudyPrecisionJobs() []sweep.Job {
 	var js []sweep.Job
 	for _, pair := range s.precisionNets() {
-		js = append(js, job(pair[0], s.cfg(core.Baseline, core.PerfOptimal)),
-			job(pair[1], s.cfg(core.Baseline, core.PerfOptimal)),
-			job(pair[1], s.cfg(core.VDNNDyn, 0)))
+		js = append(js, s.cross(pair[:1], plan.Axis{baseP})...)
+		js = append(js, s.cross(pair[1:], plan.Axis{baseP, dynamic})...)
 	}
 	return js
 }
 
+// CaseStudyPrecision is a reduced-precision what-if (the paper's related
+// work, Section VI, positions precision as an orthogonal memory lever):
+// the same networks with FP16 tensors, halving every feature map, weight
+// and workspace.
 func (s *Suite) CaseStudyPrecision() *report.Table {
-	s.Prime(s.caseStudyPrecisionJobs())
+	pairs := s.precisionNets()
 	t := report.NewTable("Case study — FP32 vs FP16 storage (baseline(p) demand and trainability on 12 GB)",
 		"network", "fp32 demand (MB)", "fp32 trains", "fp16 demand (MB)", "fp16 trains", "fp16 + vDNN-dyn")
-	for _, pair := range s.precisionNets() {
-		n, h := pair[0], pair[1]
-		f32 := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
-		f16 := s.Run(h, s.cfg(core.Baseline, core.PerfOptimal))
-		dyn16 := s.Run(h, s.cfg(core.VDNNDyn, 0))
-		t.AddRow(n.Name,
+	for i, row := range rows(s.Prime(s.caseStudyPrecisionJobs()), 3) {
+		f32, f16, dyn16 := row[0], row[1], row[2]
+		t.AddRow(pairs[i][0].Name,
 			report.FmtMiB(f32.TotalMaxUsage()), yesNo(f32.Trainable),
 			report.FmtMiB(f16.TotalMaxUsage()), yesNo(f16.Trainable),
 			yesNo(dyn16.Trainable))
@@ -113,58 +96,45 @@ func (s *Suite) CaseStudyPrecision() *report.Table {
 	return t
 }
 
+// resnetBatches are the ResNet case study's batch sizes, in row order.
+var resnetBatches = []int{16, 32, 64, 128}
+
+func (s *Suite) caseStudyResNetJobs() []sweep.Job {
+	return s.cross(s.netsOf("resnet152", networks.ResNet152, resnetBatches...),
+		plan.Axis{baseP, dynamic, oracle(baseP)})
+}
+
 // CaseStudyResNet applies vDNN to the ">100 convolutional layers" ImageNet
 // winner the paper's introduction anticipates (ResNet, He et al. [15]):
 // batch-size scaling of ResNet-152 on the 12 GB Titan X.
-func (s *Suite) caseStudyResNetJobs() []sweep.Job {
-	var js []sweep.Job
-	for _, batch := range []int{16, 32, 64, 128} {
-		n := s.net(func() *dnn.Network { return networks.ResNet152(batch) }, fmt.Sprintf("resnet152-%d", batch))
-		js = append(js, job(n, s.cfg(core.Baseline, core.PerfOptimal)),
-			job(n, s.cfg(core.VDNNDyn, 0)),
-			job(n, core.Config{Spec: s.Spec, Policy: core.Baseline, Algo: core.PerfOptimal, Oracle: true}))
-	}
-	return js
-}
-
 func (s *Suite) CaseStudyResNet() *report.Table {
-	s.Prime(s.caseStudyResNetJobs())
 	t := report.NewTable("Case study — ResNet-152 on 12 GB (the paper's anticipated >100-layer winner)",
 		"batch", "base(p) demand (MB)", "base(p)", "vDNN-dyn", "dyn max (MB)", "dyn vs oracle")
-	for _, batch := range []int{16, 32, 64, 128} {
-		n := s.net(func() *dnn.Network { return networks.ResNet152(batch) }, fmt.Sprintf("resnet152-%d", batch))
-		base := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
-		dyn := s.Run(n, s.cfg(core.VDNNDyn, 0))
-		oracle := s.oracleBaseline(n)
-		t.AddRow(fmt.Sprintf("%d", batch),
+	for i, row := range rows(s.Prime(s.caseStudyResNetJobs()), 3) {
+		base, dyn, target := row[0], row[1], row[2]
+		t.AddRow(fmt.Sprintf("%d", resnetBatches[i]),
 			report.FmtMiB(base.TotalMaxUsage()), yesNo(base.Trainable), yesNo(dyn.Trainable),
 			report.FmtMiB(dyn.MaxUsage),
-			fmt.Sprintf("%.2f", float64(oracle.FETime)/float64(dyn.FETime)))
+			fmt.Sprintf("%.2f", float64(target.FETime)/float64(dyn.FETime)))
 	}
 	t.AddNote("residual joins share gradients through the add (dnn.Tensor.GradShare); BN layers are vDNN-managed like any non-in-place layer")
 	return t
 }
 
-// CaseStudyDevices runs the headline workload across GPU generations,
-// showing where vDNN's trainability benefit lands on each.
+// caseDevices are the devices case study's GPU generations, in row order.
+var caseDevices = []gpu.Spec{gpu.TeslaK40(), gpu.GTX980(), gpu.TitanX(), gpu.TitanXNVLink(), gpu.PascalP100()}
+
 func (s *Suite) caseStudyDevicesJobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
-	var js []sweep.Job
-	for _, spec := range []gpu.Spec{gpu.TeslaK40(), gpu.GTX980(), gpu.TitanX(), gpu.TitanXNVLink(), gpu.PascalP100()} {
-		js = append(js, job(n, core.Config{Spec: spec, Policy: core.Baseline, Algo: core.PerfOptimal}),
-			job(n, core.Config{Spec: spec, Policy: core.VDNNDyn}))
-	}
-	return js
+	return s.cross(s.vgg16(256), axis(deviceVariant, caseDevices...), plan.Axis{baseP, dynamic})
 }
 
+// CaseStudyDevices runs the headline workload across GPU generations,
+// showing where vDNN's trainability benefit lands on each.
 func (s *Suite) CaseStudyDevices() *report.Table {
-	s.Prime(s.caseStudyDevicesJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
 	t := report.NewTable("Case study — VGG-16 (256) across devices",
 		"device", "memory", "base(p)", "vDNN-dyn", "dyn iteration (ms)")
-	for _, spec := range []gpu.Spec{gpu.TeslaK40(), gpu.GTX980(), gpu.TitanX(), gpu.TitanXNVLink(), gpu.PascalP100()} {
-		base := s.Run(n, core.Config{Spec: spec, Policy: core.Baseline, Algo: core.PerfOptimal})
-		dyn := s.Run(n, core.Config{Spec: spec, Policy: core.VDNNDyn})
+	for i, row := range rows(s.Prime(s.caseStudyDevicesJobs()), 2) {
+		spec, base, dyn := caseDevices[i], row[0], row[1]
 		t.AddRow(spec.Name, fmt.Sprintf("%d GB", spec.MemBytes>>30),
 			yesNo(base.Trainable), yesNo(dyn.Trainable), report.FmtMs(int64(dyn.IterTime)))
 	}

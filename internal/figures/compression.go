@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"vdnn/internal/compress"
-	"vdnn/internal/core"
-	"vdnn/internal/dnn"
-	"vdnn/internal/networks"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -18,30 +16,12 @@ var compressionBatches = []int{64, 128, 256}
 // compressionCodecs are the codec points of the study, in column order.
 var compressionCodecs = []compress.Codec{compress.CodecNone, compress.CodecZVC, compress.CodecRLE}
 
-// compressionCfg is one configuration of the study: vDNN-all(m) — the
-// maximum-offload policy, where the interconnect hurts most — under the
-// given codec with the default cdma sparsity profile.
-func (s *Suite) compressionCfg(codec compress.Codec) core.Config {
-	return core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal,
-		Compression: compress.Config{Codec: codec}}
-}
-
-func (s *Suite) compressionNet(batch int) *dnn.Network {
-	key := fmt.Sprintf("vgg16-%d", batch)
-	return s.net(func() *dnn.Network { return networks.VGG16(batch) }, key)
-}
-
 // caseStudyCompressionJobs is the simulation set: VGG-16 at each batch size
-// under every codec.
+// under vDNN-all(m) — the maximum-offload policy, where the interconnect
+// hurts most — with every codec at the default cdma sparsity profile.
 func (s *Suite) caseStudyCompressionJobs() []sweep.Job {
-	var js []sweep.Job
-	for _, b := range compressionBatches {
-		n := s.compressionNet(b)
-		for _, c := range compressionCodecs {
-			js = append(js, job(n, s.compressionCfg(c)))
-		}
-	}
-	return js
+	codec := func(c compress.Codec) plan.Variant { return plan.CodecVariant(c, "") }
+	return s.cross(s.vgg16(compressionBatches...), plan.Axis{allM}, axis(codec, compressionCodecs...))
 }
 
 // CaseStudyCompression reproduces the headline claim of the cDMA follow-up
@@ -51,15 +31,12 @@ func (s *Suite) caseStudyCompressionJobs() []sweep.Job {
 // never expands a buffer, enabling it never increases offload bytes (the
 // invariant TestCompressionNeverIncreasesOffload pins).
 func (s *Suite) CaseStudyCompression() *report.Table {
-	s.Prime(s.caseStudyCompressionJobs())
 	t := report.NewTable("Case study — compressing DMA engine: VGG-16, vDNN-all(m), cdma sparsity profile",
 		"batch", "codec", "offload raw (MB)", "offload wire (MB)", "ratio", "codec busy (ms)", "FE (ms)", "vs uncompressed")
-	for _, b := range compressionBatches {
-		n := s.compressionNet(b)
-		base := s.Run(n, s.compressionCfg(compress.CodecNone))
-		for _, c := range compressionCodecs {
-			r := s.Run(n, s.compressionCfg(c))
-			t.AddRow(fmt.Sprintf("%d", b), c.String(),
+	for i, row := range rows(s.Prime(s.caseStudyCompressionJobs()), len(compressionCodecs)) {
+		base := row[0] // CodecNone
+		for j, r := range row {
+			t.AddRow(fmt.Sprintf("%d", compressionBatches[i]), compressionCodecs[j].String(),
 				report.FmtMiB(r.OffloadRawBytes), report.FmtMiB(r.OffloadBytes),
 				fmt.Sprintf("%.2fx", r.CompressionRatio),
 				report.FmtMs(int64(r.CompressTime+r.DecompressTime)),

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"slices"
 	"testing"
 
 	"vdnn"
@@ -18,15 +19,13 @@ func TestCompressionNeverIncreasesOffload(t *testing.T) {
 		t.Skip("full compression study; skipped in -short mode")
 	}
 	s := NewSuiteSim(gpu.TitanX(), vdnn.NewSimulator(vdnn.WithParallelism(4)))
-	s.Prime(s.caseStudyCompressionJobs())
-	for _, b := range compressionBatches {
-		n := s.compressionNet(b)
-		base := s.Run(n, s.compressionCfg(compress.CodecNone))
+	for i, row := range rows(s.Prime(s.caseStudyCompressionJobs()), len(compressionCodecs)) {
+		b, base := compressionBatches[i], row[0] // CodecNone
 		if base.CompressionRatio != 1 || base.OffloadRawBytes != base.OffloadBytes {
 			t.Fatalf("batch %d: uncompressed run reports compression (%+v)", b, base.CompressionRatio)
 		}
-		for _, c := range compressionCodecs[1:] {
-			r := s.Run(n, s.compressionCfg(c))
+		for j, r := range row[1:] {
+			c := compressionCodecs[1+j]
 			if r.OffloadBytes > base.OffloadBytes {
 				t.Fatalf("batch %d %v: compression increased offload bytes (%d > %d)",
 					b, c, r.OffloadBytes, base.OffloadBytes)
@@ -39,7 +38,7 @@ func TestCompressionNeverIncreasesOffload(t *testing.T) {
 					b, c, r.OffloadRawBytes, base.OffloadBytes)
 			}
 		}
-		zvc := s.Run(n, s.compressionCfg(compress.CodecZVC))
+		zvc := row[slices.Index(compressionCodecs, compress.CodecZVC)]
 		if zvc.OffloadBytes >= base.OffloadBytes {
 			t.Fatalf("batch %d: ZVC saved nothing (%d vs %d)", b, zvc.OffloadBytes, base.OffloadBytes)
 		}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"vdnn/internal/core"
-	"vdnn/internal/dnn"
-	"vdnn/internal/networks"
 	"vdnn/internal/pcie"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -15,24 +14,15 @@ import (
 // contention case study.
 var contentionDeviceCounts = []int{1, 2, 4, 8}
 
-// contentionCfg is one configuration of the study: the given policy/mode at
-// the given replica count, every replica behind one shared gen3 x16 uplink —
-// the worst-case topology the "Compressing DMA Engine" follow-up motivates.
-func (s *Suite) contentionCfg(p core.Policy, a core.AlgoMode, devices int) core.Config {
-	return core.Config{Spec: s.Spec, Policy: p, Algo: a,
-		Devices: devices, Topology: pcie.SharedGen3Root()}
-}
+// sharedRoot runs the given number of data-parallel replicas, every one
+// behind one shared gen3 x16 uplink — the worst-case topology the
+// "Compressing DMA Engine" follow-up motivates.
+func sharedRoot(devices int) plan.Variant { return plan.DevicesVariant(devices, pcie.SharedGen3Root()) }
 
 // caseStudyContentionJobs is the simulation set: vDNN-all(m) and
 // baseline(p) on VGG-16 (64 per replica) at 1/2/4/8 replicas.
 func (s *Suite) caseStudyContentionJobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	var js []sweep.Job
-	for _, c := range contentionDeviceCounts {
-		js = append(js, job(n, s.contentionCfg(core.VDNNAll, core.MemOptimal, c)),
-			job(n, s.contentionCfg(core.Baseline, core.PerfOptimal, c)))
-	}
-	return js
+	return s.cross(s.vgg16(64), axis(sharedRoot, contentionDeviceCounts...), plan.Axis{allM, baseP})
 }
 
 // CaseStudyContention answers the scale question the paper's bandwidth
@@ -43,14 +33,10 @@ func (s *Suite) caseStudyContentionJobs() []sweep.Job {
 // stalls and overlap efficiency of vDNN-all(m) against the no-offload
 // baseline, on a single shared x16 uplink.
 func (s *Suite) CaseStudyContention() *report.Table {
-	s.Prime(s.caseStudyContentionJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-
 	t := report.NewTable("Case study — interconnect contention: VGG-16 (64/replica) on one shared x16 root complex",
 		"GPUs", "vDNN step/replica (ms)", "vDNN stall (ms)", "vDNN overlap", "base step/replica (ms)", "vDNN img/s", "base img/s")
-	for _, c := range contentionDeviceCounts {
-		dyn := s.Run(n, s.contentionCfg(core.VDNNAll, core.MemOptimal, c))
-		base := s.Run(n, s.contentionCfg(core.Baseline, core.PerfOptimal, c))
+	for i, row := range rows(s.Prime(s.caseStudyContentionJobs()), 2) {
+		c, dyn, base := contentionDeviceCounts[i], row[0], row[1]
 		dynStep, dynStall, dynOverlap := dyn.ReplicaMeans()
 		baseStep, _, _ := base.ReplicaMeans()
 		imgs := func(r *core.Result) string {

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"vdnn"
-	"vdnn/internal/core"
-	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
-	"vdnn/internal/networks"
 	"vdnn/internal/sim"
 )
 
@@ -19,11 +16,9 @@ func TestContentionMonotonicStepTime(t *testing.T) {
 		t.Skip("full contention study; skipped in -short mode")
 	}
 	s := NewSuiteSim(gpu.TitanX(), vdnn.NewSimulator(vdnn.WithParallelism(4)))
-	s.Prime(s.caseStudyContentionJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
 	prev := sim.Time(0)
-	for _, c := range contentionDeviceCounts {
-		r := s.Run(n, s.contentionCfg(core.VDNNAll, core.MemOptimal, c))
+	for i, row := range rows(s.Prime(s.caseStudyContentionJobs()), 2) {
+		c, r := contentionDeviceCounts[i], row[0] // vDNN-all(m)
 		if !r.Trainable {
 			t.Fatalf("%d replicas untrainable: %s", c, r.FailReason)
 		}

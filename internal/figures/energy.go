@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"vdnn"
-	"vdnn/internal/core"
-	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
-	"vdnn/internal/networks"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -23,18 +21,13 @@ import (
 // pick different winners.
 
 // energyBackends lists the catalog points of the study in row order.
-func (s *Suite) energyBackends() []struct {
+var energyBackends = []struct {
 	label string
 	spec  gpu.Spec
-} {
-	return []struct {
-		label string
-		spec  gpu.Spec
-	}{
-		{"Titan X (GDDR5 + PCIe gen3)", gpu.TitanX()},
-		{"P100 (HBM2 + NVLink)", gpu.PascalP100()},
-		{"RAPIDNN near-memory (on-die)", gpu.RapidNN()},
-	}
+}{
+	{"Titan X (GDDR5 + PCIe gen3)", gpu.TitanX()},
+	{"P100 (HBM2 + NVLink)", gpu.PascalP100()},
+	{"RAPIDNN near-memory (on-die)", gpu.RapidNN()},
 }
 
 // energyPlanRequest returns the planner case study's problem under the
@@ -54,12 +47,11 @@ func (s *Suite) caseStudyEnergyJobs() []sweep.Job {
 			panic(fmt.Sprintf("figures: energy planner: %v", err))
 		}
 	}
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	var js []sweep.Job
-	for _, b := range s.energyBackends() {
-		js = append(js, job(n, core.Config{Spec: b.spec, Policy: core.VDNNAll, Algo: core.MemOptimal}))
+	var backends plan.Axis
+	for _, b := range energyBackends {
+		backends = append(backends, deviceVariant(b.spec))
 	}
-	return js
+	return s.cross(s.vgg16(64), backends, plan.Axis{allM})
 }
 
 // CaseStudyEnergy renders VGG-16 (64) under vDNN-all(m) on each backend:
@@ -68,13 +60,11 @@ func (s *Suite) caseStudyEnergyJobs() []sweep.Job {
 // conservation invariant tested in internal/core and on every experiment of
 // this suite).
 func (s *Suite) CaseStudyEnergy() *report.Table {
-	s.Prime(s.caseStudyEnergyJobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-
+	rs := s.Prime(s.caseStudyEnergyJobs())
 	t := report.NewTable("Case study — energy per iteration across accelerator backends (VGG-16 (64), vDNN-all(m))",
 		"backend", "mem", "iter (ms)", "avg W", "J/iter", "compute J", "dma J", "idle J", "dma share")
-	for _, b := range s.energyBackends() {
-		r := s.Run(n, core.Config{Spec: b.spec, Policy: core.VDNNAll, Algo: core.MemOptimal})
+	for i, b := range energyBackends {
+		r := rs[i]
 		e := r.Energy
 		t.AddRow(b.label, b.spec.MemKind.String(),
 			report.FmtMs(int64(r.IterTime)), fmt.Sprintf("%.0f", r.Power.AvgW),

@@ -2,15 +2,19 @@
 // evaluation (Section V) from the simulator: Figures 1, 4, 5, 6, 11, 12,
 // 13, 14 and 15 plus the Section V-D power study, and the ablations the
 // paper discusses qualitatively (prefetch scheduling, page migration,
-// interconnect and capacity what-ifs). Each function returns a report.Table
-// whose rows mirror the corresponding figure's series; cmd/vdnn-repro prints
-// them and the root-level benchmarks publish their headline values as
-// benchmark metrics.
+// interconnect and capacity what-ifs). Each experiment declares its
+// simulations once, as a jobs function — products built with plan.CrossJobs
+// over plan.Axis values, the generator vdnn-explore and the planner share —
+// and formats a report.Table from the results of exactly those jobs, read
+// back by position. The table's rows mirror the corresponding figure's
+// series; cmd/vdnn-repro prints them and the root-level benchmarks publish
+// their headline values as benchmark metrics.
 package figures
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,6 +24,7 @@ import (
 	"vdnn/internal/gpu"
 	"vdnn/internal/memalloc"
 	"vdnn/internal/networks"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -28,10 +33,10 @@ import (
 // shared by every figure, ablation and case study — the same (network,
 // config) pair is simulated exactly once across the whole evaluation — with
 // simulations scheduled over the simulator's worker pool. Each experiment
-// first enqueues its full configuration set as one batch (its jobs
-// function), then formats rows from the cached results, so independent
-// simulations of one table run concurrently. Simulations are deterministic,
-// which makes every table byte-identical regardless of parallelism.
+// primes its jobs as one batch, so independent simulations of one table run
+// concurrently, and formats its rows from the results that batch returns.
+// Simulations are deterministic, which makes every table byte-identical
+// regardless of parallelism.
 type Suite struct {
 	Spec gpu.Spec
 
@@ -63,12 +68,12 @@ func NewSuiteSim(spec gpu.Spec, sim *vdnn.Simulator) *Suite {
 // Simulator exposes the suite's simulator (for cache statistics).
 func (s *Suite) Simulator() *vdnn.Simulator { return s.sim }
 
-// Experiment is one table of the evaluation: its vdnn-repro name, the full
-// simulation set it reads (enqueued as one concurrent batch), and the
-// formatter that renders it. Jobs is a scheduling hint, not a correctness
-// requirement — Gen simulates any configuration its jobs function missed —
-// so tables are identical whether or not (and how parallel) they were
-// primed.
+// Experiment is one table of the evaluation: its vdnn-repro name, its
+// simulations and the formatter that renders them. Jobs is the only place
+// the experiment's configurations are written down: Gen primes exactly
+// those jobs and formats the results in job order. Priming every
+// experiment's jobs as one batch up front, as vdnn-repro does, lets the
+// engine overlap work across experiments and leaves each Gen all cache hits.
 type Experiment struct {
 	Name string
 	Jobs func() []sweep.Job
@@ -159,17 +164,19 @@ func (s *Suite) Timings() *report.Table {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// Prime schedules a batch of simulations across the simulator's workers so
-// the subsequent formatting pass is all cache hits, and records the batch's
-// wall clock for Timings.
-func (s *Suite) Prime(jobs []sweep.Job) {
+// Prime runs a batch of simulations across the simulator's workers, records
+// the batch's wall clock for Timings, and returns the results in job order.
+// Results an earlier batch computed are cache hits.
+func (s *Suite) Prime(jobs []sweep.Job) []*core.Result {
 	start := time.Now()
-	if _, err := s.sim.RunBatch(context.Background(), jobs); err != nil {
+	rs, err := s.sim.RunBatch(context.Background(), jobs)
+	if err != nil {
 		panic(fmt.Sprintf("figures: %v", err))
 	}
 	s.mu.Lock()
 	s.prime += time.Since(start)
 	s.mu.Unlock()
+	return rs
 }
 
 // net returns a memoized network instance.
@@ -184,69 +191,118 @@ func (s *Suite) net(build func() *dnn.Network, key string) *dnn.Network {
 	return n
 }
 
-func (s *Suite) conventional() []*dnn.Network {
-	return []*dnn.Network{
-		s.net(func() *dnn.Network { return networks.AlexNet(128) }, "alexnet128"),
-		s.net(func() *dnn.Network { return networks.OverFeat(128) }, "overfeat128"),
-		s.net(func() *dnn.Network { return networks.GoogLeNet(128) }, "googlenet128"),
-		s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64"),
-		s.net(func() *dnn.Network { return networks.VGG16(128) }, "vgg16-128"),
-		s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256"),
+// netsOf returns the memoized instances of build at each size.
+func (s *Suite) netsOf(name string, build func(int) *dnn.Network, sizes ...int) []*dnn.Network {
+	ns := make([]*dnn.Network, len(sizes))
+	for i, size := range sizes {
+		ns[i] = s.net(func() *dnn.Network { return build(size) }, fmt.Sprintf("%s-%d", name, size))
 	}
+	return ns
 }
 
-func (s *Suite) veryDeep() []*dnn.Network {
-	return []*dnn.Network{
-		s.net(func() *dnn.Network { return networks.VGGDeep(116, 32) }, "vgg116"),
-		s.net(func() *dnn.Network { return networks.VGGDeep(216, 32) }, "vgg216"),
-		s.net(func() *dnn.Network { return networks.VGGDeep(316, 32) }, "vgg316"),
-		s.net(func() *dnn.Network { return networks.VGGDeep(416, 32) }, "vgg416"),
-	}
+func (s *Suite) vgg16(batches ...int) []*dnn.Network {
+	return s.netsOf("vgg16", networks.VGG16, batches...)
 }
+
+// vggDeep returns the very deep VGG variants (batch 32) with the given
+// numbers of CONV layers.
+func (s *Suite) vggDeep(convLayers ...int) []*dnn.Network {
+	return s.netsOf("vgg-deep", func(l int) *dnn.Network { return networks.VGGDeep(l, 32) }, convLayers...)
+}
+
+func (s *Suite) conventional() []*dnn.Network {
+	return slices.Concat(s.netsOf("alexnet", networks.AlexNet, 128), s.netsOf("overfeat", networks.OverFeat, 128),
+		s.netsOf("googlenet", networks.GoogLeNet, 128), s.vgg16(64, 128, 256))
+}
+
+func (s *Suite) veryDeep() []*dnn.Network { return s.vggDeep(116, 216, 316, 416) }
 
 func (s *Suite) all() []*dnn.Network { return append(s.conventional(), s.veryDeep()...) }
 
-// Run simulates one configuration through the shared simulator cache.
-func (s *Suite) Run(net *dnn.Network, cfg core.Config) *core.Result {
-	r, err := s.sim.Run(context.Background(), net, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("figures: %s %v: %v", net.Name, cfg.Policy, err))
+// cross pairs nets with the suite's device under the product of the axes
+// (plan.CrossJobs); a one-variant axis fixes a setting for every job.
+func (s *Suite) cross(nets []*dnn.Network, axes ...plan.Axis) []sweep.Job {
+	return plan.CrossJobs(nets, core.Config{Spec: s.Spec}, axes...)
+}
+
+// rows splits network-major results (plan.CrossJobs) into one row of k
+// results per network.
+func rows(rs []*core.Result, k int) [][]*core.Result { return slices.Collect(slices.Chunk(rs, k)) }
+
+// The policy/mode columns of the paper's figures.
+var (
+	allM    = plan.PolicyVariant(core.VDNNAll, core.MemOptimal)
+	allP    = plan.PolicyVariant(core.VDNNAll, core.PerfOptimal)
+	convM   = plan.PolicyVariant(core.VDNNConv, core.MemOptimal)
+	convP   = plan.PolicyVariant(core.VDNNConv, core.PerfOptimal)
+	dynamic = plan.PolicyVariant(core.VDNNDyn, 0)
+	baseM   = plan.PolicyVariant(core.Baseline, core.MemOptimal)
+	baseP   = plan.PolicyVariant(core.Baseline, core.PerfOptimal)
+)
+
+// oracle runs v on a hypothetical GPU with enough memory. oracle(baseP) is
+// the paper's normalization target: the baseline with performance-optimal
+// algorithms, never short of memory.
+func oracle(v plan.Variant) plan.Variant {
+	return plan.Variant{Label: "oracle " + v.Label, Apply: func(c core.Config) core.Config {
+		c = v.Apply(c)
+		c.Oracle = true
+		return c
+	}}
+}
+
+// toggle is a two-value axis: the configuration as it is, then with on
+// applied.
+func toggle(label string, on func(*core.Config)) plan.Axis {
+	return plan.Axis{
+		{Label: "as is", Apply: func(c core.Config) core.Config { return c }},
+		{Label: label, Apply: func(c core.Config) core.Config {
+			on(&c)
+			return c
+		}},
 	}
-	return r
 }
 
-func (s *Suite) cfg(p core.Policy, a core.AlgoMode) core.Config {
-	return core.Config{Spec: s.Spec, Policy: p, Algo: a}
+// renamed wraps a device variant so the device's name carries sep and the
+// variant's label: every what-if device has a name of its own.
+func renamed(v plan.Variant, sep string) plan.Variant {
+	return plan.Variant{Label: v.Label, Apply: func(c core.Config) core.Config {
+		c = v.Apply(c)
+		c.Spec.Name += sep + v.Label
+		return c
+	}}
 }
 
-// job pairs a network with a configuration for batch scheduling.
-func job(n *dnn.Network, cfg core.Config) sweep.Job { return sweep.Job{Net: n, Cfg: cfg} }
+// deviceVariant swaps the suite's device for spec.
+func deviceVariant(spec gpu.Spec) plan.Variant {
+	return plan.Variant{Label: spec.Name, Apply: func(c core.Config) core.Config {
+		c.Spec = spec
+		return c
+	}}
+}
 
-// oracleBaseline is the paper's normalization target: the baseline with
-// performance-optimal algorithms on a hypothetical GPU with enough memory.
-func (s *Suite) oracleBaseline(net *dnn.Network) *core.Result {
-	return s.Run(net, core.Config{Spec: s.Spec, Policy: core.Baseline, Algo: core.PerfOptimal, Oracle: true})
+// axis maps each value to its variant, in order.
+func axis[T any](variant func(T) plan.Variant, values ...T) plan.Axis {
+	a := make(plan.Axis, len(values))
+	for i, v := range values {
+		a[i] = variant(v)
+	}
+	return a
 }
 
 // fig1Jobs is the simulation set of Figures 1 and 4: the baseline on every
 // studied network.
-func (s *Suite) fig1Jobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range s.all() {
-		js = append(js, job(n, s.cfg(core.Baseline, core.PerfOptimal)))
-	}
-	return js
-}
+func (s *Suite) fig1Jobs() []sweep.Job { return s.cross(s.all(), plan.Axis{baseP}) }
 
 // Fig1 reproduces Figure 1: the baseline's network-wide memory allocation
 // for all ten studied DNNs and the maximum fraction of it any single layer's
 // computation actually uses.
 func (s *Suite) Fig1() *report.Table {
-	s.Prime(s.fig1Jobs())
+	rs := s.Prime(s.fig1Jobs())
 	t := report.NewTable("Figure 1 — baseline memory allocation and maximum layer-wise usage",
 		"network", "allocation (MB)", "max layer-wise usage", "trainable on 12GB")
-	for _, n := range s.all() {
-		r := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
+	for i, n := range s.all() {
+		r := rs[i]
 		frac := float64(r.MaxWorkingSet) / float64(r.TotalMaxUsage())
 		t.AddRow(n.Name, report.FmtMiB(r.TotalMaxUsage()), report.FmtPct(frac), yesNo(r.Trainable))
 	}
@@ -257,12 +313,11 @@ func (s *Suite) Fig1() *report.Table {
 // Fig4 reproduces Figure 4: baseline memory usage broken down by function,
 // and the share held by feature maps.
 func (s *Suite) Fig4() *report.Table {
-	s.Prime(s.fig1Jobs())
+	rs := s.Prime(s.fig1Jobs())
 	t := report.NewTable("Figure 4 — baseline memory breakdown by functionality (MB)",
 		"network", "weights", "w-grads", "feature maps", "gradient maps", "workspace", "other", "feature maps %")
-	for _, n := range s.all() {
-		r := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
-		k := r.PeakByKind
+	for i, n := range s.all() {
+		k := rs[i].PeakByKind
 		var total int64
 		for _, v := range k {
 			total += v
@@ -277,18 +332,13 @@ func (s *Suite) Fig4() *report.Table {
 	return t
 }
 
+func (s *Suite) fig5Jobs() []sweep.Job { return s.cross(s.vgg16(256), plan.Axis{oracle(baseP)}) }
+
 // Fig5 reproduces Figure 5: per-layer memory usage of VGG-16 (256) during
 // forward propagation — feature maps + workspace on the left axis, weights
 // on the right.
-func (s *Suite) fig5Jobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
-	return []sweep.Job{job(n, core.Config{Spec: s.Spec, Policy: core.Baseline, Algo: core.PerfOptimal, Oracle: true})}
-}
-
 func (s *Suite) Fig5() *report.Table {
-	s.Prime(s.fig5Jobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
-	r := s.Run(n, core.Config{Spec: s.Spec, Policy: core.Baseline, Algo: core.PerfOptimal, Oracle: true})
+	r := s.Prime(s.fig5Jobs())[0]
 	t := report.NewTable("Figure 5 — VGG-16 (256) per-layer forward memory usage",
 		"layer", "fm+ws (MB)", "weights (MB)")
 	for _, ls := range r.Layers {
@@ -302,19 +352,14 @@ func (s *Suite) Fig5() *report.Table {
 	return t
 }
 
+func (s *Suite) fig6Jobs() []sweep.Job { return s.cross(s.vgg16(64), plan.Axis{baseM}) }
+
 // Fig6 reproduces Figure 6: VGG-16's per-layer forward/backward latency and
 // the reuse distance of each layer's input feature maps (batch 64,
 // memory-optimal algorithms, matching the >1200 ms first-layer reuse
 // distance quoted in Section III-A).
-func (s *Suite) fig6Jobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	return []sweep.Job{job(n, s.cfg(core.Baseline, core.MemOptimal))}
-}
-
 func (s *Suite) Fig6() *report.Table {
-	s.Prime(s.fig6Jobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	r := s.Run(n, s.cfg(core.Baseline, core.MemOptimal))
+	r := s.Prime(s.fig6Jobs())[0]
 	t := report.NewTable("Figure 6 — VGG-16 (64) per-layer latency and reuse distance",
 		"layer", "fwd (ms)", "bwd (ms)", "reuse distance (ms)")
 	for _, ls := range r.Layers {
@@ -338,88 +383,57 @@ func policyCell(r *core.Result) string {
 	return fmt.Sprintf("%s/%s%s", report.FmtMiB(r.MaxUsage), report.FmtMiB(r.AvgUsage), star)
 }
 
+// fig11Cols are Figure 11's columns: every policy and algorithm mode.
+var fig11Cols = plan.Axis{allM, allP, convM, convP, dynamic, baseM, baseP}
+
+// fig11Jobs is the full policy/mode cross product over the conventional
+// networks.
+func (s *Suite) fig11Jobs() []sweep.Job { return s.cross(s.conventional(), fig11Cols) }
+
 // Fig11 reproduces Figure 11: maximum/average GPU memory usage of the vDNN
 // policies and the baseline, (m) and (p) algorithm modes, across the six
 // conventional networks. Asterisks mark configurations that cannot train.
-// fig11Jobs is the full policy/mode cross product over the conventional
-// networks (also the simulation set of the power study).
-func (s *Suite) fig11Jobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range s.conventional() {
-		for _, pa := range []struct {
-			p core.Policy
-			a core.AlgoMode
-		}{
-			{core.VDNNAll, core.MemOptimal}, {core.VDNNAll, core.PerfOptimal},
-			{core.VDNNConv, core.MemOptimal}, {core.VDNNConv, core.PerfOptimal},
-			{core.VDNNDyn, 0},
-			{core.Baseline, core.MemOptimal}, {core.Baseline, core.PerfOptimal},
-		} {
-			js = append(js, job(n, s.cfg(pa.p, pa.a)))
-		}
-	}
-	return js
-}
-
 func (s *Suite) Fig11() *report.Table {
-	s.Prime(s.fig11Jobs())
+	nets := s.conventional()
 	t := report.NewTable("Figure 11 — GPU memory usage, max/avg MB (* = cannot train)",
 		"network", "all(m)", "all(p)", "conv(m)", "conv(p)", "dyn", "base(m)", "base(p)", "savings(avg)")
-	for _, n := range s.conventional() {
-		allM := s.Run(n, s.cfg(core.VDNNAll, core.MemOptimal))
-		allP := s.Run(n, s.cfg(core.VDNNAll, core.PerfOptimal))
-		convM := s.Run(n, s.cfg(core.VDNNConv, core.MemOptimal))
-		convP := s.Run(n, s.cfg(core.VDNNConv, core.PerfOptimal))
-		dyn := s.Run(n, s.cfg(core.VDNNDyn, 0))
-		baseM := s.Run(n, s.cfg(core.Baseline, core.MemOptimal))
-		baseP := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
-		base := baseM
-		if baseP.Trainable || !baseM.Trainable {
-			base = baseP
+	for i, row := range rows(s.Prime(s.fig11Jobs()), len(fig11Cols)) {
+		base := row[5] // base(m), unless base(p) trains or neither does
+		if row[6].Trainable || !row[5].Trainable {
+			base = row[6]
 		}
-		savings := 1 - float64(allM.AvgUsage)/float64(base.AvgUsage)
-		t.AddRow(n.Name, policyCell(allM), policyCell(allP), policyCell(convM), policyCell(convP),
-			policyCell(dyn), policyCell(baseM), policyCell(baseP), report.FmtPct(savings))
+		cells := []string{nets[i].Name}
+		for _, r := range row {
+			cells = append(cells, policyCell(r))
+		}
+		savings := 1 - float64(row[0].AvgUsage)/float64(base.AvgUsage)
+		t.AddRow(append(cells, report.FmtPct(savings))...)
 	}
 	t.AddNote("paper: vDNN-all(m) cuts average usage 73-98%%; baseline cannot train VGG-16 (256)")
 	return t
 }
 
+func (s *Suite) fig12Jobs() []sweep.Job { return s.cross(s.conventional(), plan.Axis{allM, convM}) }
+
 // Fig12 reproduces Figure 12: the per-iteration offload traffic (equals the
 // pinned host allocation) under vDNN-all and vDNN-conv.
-func (s *Suite) fig12Jobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range s.conventional() {
-		js = append(js, job(n, s.cfg(core.VDNNAll, core.MemOptimal)),
-			job(n, s.cfg(core.VDNNConv, core.MemOptimal)))
-	}
-	return js
-}
-
 func (s *Suite) Fig12() *report.Table {
-	s.Prime(s.fig12Jobs())
+	nets := s.conventional()
 	t := report.NewTable("Figure 12 — offloaded memory per iteration (MB)",
 		"network", "vDNN-all", "vDNN-conv")
-	for _, n := range s.conventional() {
-		all := s.Run(n, s.cfg(core.VDNNAll, core.MemOptimal))
-		conv := s.Run(n, s.cfg(core.VDNNConv, core.MemOptimal))
-		t.AddRow(n.Name, report.FmtMiB(all.OffloadBytes), report.FmtMiB(conv.OffloadBytes))
+	for i, row := range rows(s.Prime(s.fig12Jobs()), 2) {
+		t.AddRow(nets[i].Name, report.FmtMiB(row[0].OffloadBytes), report.FmtMiB(row[1].OffloadBytes))
 	}
 	t.AddNote("paper: up to ~15-16 GB offloaded for VGG-16 (256)")
 	return t
 }
 
+func (s *Suite) fig13Jobs() []sweep.Job { return s.cross(s.vgg16(128), plan.Axis{baseM}) }
+
 // Fig13 reproduces Figure 13: the maximum DRAM bandwidth utilization of each
 // VGG-16 CONV layer's forward and backward kernels under the baseline.
-func (s *Suite) fig13Jobs() []sweep.Job {
-	n := s.net(func() *dnn.Network { return networks.VGG16(128) }, "vgg16-128")
-	return []sweep.Job{job(n, s.cfg(core.Baseline, core.MemOptimal))}
-}
-
 func (s *Suite) Fig13() *report.Table {
-	s.Prime(s.fig13Jobs())
-	n := s.net(func() *dnn.Network { return networks.VGG16(128) }, "vgg16-128")
-	r := s.Run(n, s.cfg(core.Baseline, core.MemOptimal))
+	r := s.Prime(s.fig13Jobs())[0]
 	t := report.NewTable("Figure 13 — VGG-16 (128) max DRAM bandwidth utilization (GB/s)",
 		"layer", "fwd", "bwd", "of peak")
 	peak := s.Spec.DRAMBps / 1e9
@@ -429,129 +443,93 @@ func (s *Suite) Fig13() *report.Table {
 			continue
 		}
 		f, b := ls.FwdBW/1e9, ls.BwdBW/1e9
-		if f > maxBW {
-			maxBW = f
-		}
-		if b > maxBW {
-			maxBW = b
-		}
-		t.AddRow(ls.Name, fmt.Sprintf("%.0f", f), fmt.Sprintf("%.0f", b),
-			report.FmtPct(maxFloat(f, b)/peak))
+		maxBW = max(maxBW, f, b)
+		t.AddRow(ls.Name, fmt.Sprintf("%.0f", f), fmt.Sprintf("%.0f", b), report.FmtPct(max(f, b)/peak))
 	}
 	t.AddNote("peak %.0f GB/s; headroom for the <= 16 GB/s PCIe traffic everywhere (worst case %.0f%%)",
 		peak, maxBW/peak*100)
 	return t
 }
 
+// fig14Cols are Figure 14's simulations per network: the oracle and the
+// real run of every static policy/mode column — the oracle gives the
+// performance, the real run the asterisk — then vDNN-dyn. The baseline(p)
+// oracle (column 10) doubles as the normalization target.
+var fig14Cols = func() plan.Axis {
+	var cols plan.Axis
+	for _, v := range []plan.Variant{allM, allP, convM, convP, baseM, baseP} {
+		cols = append(cols, oracle(v), v)
+	}
+	return append(cols, dynamic)
+}()
+
+func (s *Suite) fig14Jobs() []sweep.Job { return s.cross(s.conventional(), fig14Cols) }
+
 // Fig14 reproduces Figure 14: performance normalized to the (oracular)
 // baseline for every policy and algorithm mode.
-// fig14Jobs lists, per conventional network, the oracle and real run of
-// every policy/mode pair; the baseline(p) oracle doubles as the
-// normalization target.
-func (s *Suite) fig14Jobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range s.conventional() {
-		for _, pa := range []struct {
-			p core.Policy
-			a core.AlgoMode
-		}{
-			{core.VDNNAll, core.MemOptimal}, {core.VDNNAll, core.PerfOptimal},
-			{core.VDNNConv, core.MemOptimal}, {core.VDNNConv, core.PerfOptimal},
-			{core.Baseline, core.MemOptimal}, {core.Baseline, core.PerfOptimal},
-		} {
-			js = append(js, job(n, core.Config{Spec: s.Spec, Policy: pa.p, Algo: pa.a, Oracle: true}),
-				job(n, s.cfg(pa.p, pa.a)))
-		}
-		js = append(js, job(n, s.cfg(core.VDNNDyn, 0)))
-	}
-	return js
-}
-
 func (s *Suite) Fig14() *report.Table {
-	s.Prime(s.fig14Jobs())
+	nets := s.conventional()
 	t := report.NewTable("Figure 14 — performance normalized to baseline (feature extraction)",
 		"network", "all(m)", "all(p)", "conv(m)", "conv(p)", "dyn", "base(m)", "base(p)")
-	for _, n := range s.conventional() {
-		oracle := s.oracleBaseline(n)
-		norm := func(p core.Policy, a core.AlgoMode) string {
-			r := s.Run(n, core.Config{Spec: s.Spec, Policy: p, Algo: a, Oracle: true})
-			v := float64(oracle.FETime) / float64(r.FETime)
-			real := s.Run(n, s.cfg(p, a))
+	for i, row := range rows(s.Prime(s.fig14Jobs()), len(fig14Cols)) {
+		target := row[10]
+		norm := func(col int) string {
 			star := ""
-			if !real.Trainable {
+			if !row[2*col+1].Trainable {
 				star = "*"
 			}
-			return fmt.Sprintf("%.2f%s", v, star)
+			return fmt.Sprintf("%.2f%s", float64(target.FETime)/float64(row[2*col].FETime), star)
 		}
-		dyn := s.Run(n, s.cfg(core.VDNNDyn, 0))
-		t.AddRow(n.Name,
-			norm(core.VDNNAll, core.MemOptimal), norm(core.VDNNAll, core.PerfOptimal),
-			norm(core.VDNNConv, core.MemOptimal), norm(core.VDNNConv, core.PerfOptimal),
-			fmt.Sprintf("%.2f", float64(oracle.FETime)/float64(dyn.FETime)),
-			norm(core.Baseline, core.MemOptimal), norm(core.Baseline, core.PerfOptimal))
+		t.AddRow(nets[i].Name, norm(0), norm(1), norm(2), norm(3),
+			fmt.Sprintf("%.2f", float64(target.FETime)/float64(row[12].FETime)), norm(4), norm(5))
 	}
 	t.AddNote("paper: static (m) policies lose ~55-58%%; vDNN-dyn averages ~97%% of baseline (82%% worst case)")
 	return t
 }
 
-// Fig15 reproduces Figure 15: GPU- and CPU-side memory of vDNN-dyn against
-// the baseline's (infeasible) requirement for the very deep networks.
 func (s *Suite) fig15Jobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range s.veryDeep() {
-		js = append(js, job(n, s.cfg(core.VDNNDyn, 0)),
-			job(n, s.cfg(core.Baseline, core.PerfOptimal)),
-			job(n, core.Config{Spec: s.Spec, Policy: core.Baseline, Algo: core.PerfOptimal, Oracle: true}))
-	}
-	return js
+	return s.cross(s.veryDeep(), plan.Axis{dynamic, baseP, oracle(baseP)})
 }
 
+// Fig15 reproduces Figure 15: GPU- and CPU-side memory of vDNN-dyn against
+// the baseline's (infeasible) requirement for the very deep networks.
 func (s *Suite) Fig15() *report.Table {
-	s.Prime(s.fig15Jobs())
+	nets := s.veryDeep()
 	t := report.NewTable("Figure 15 — very deep networks (batch 32): memory placement (MB)",
 		"network", "dyn GPU-side", "dyn CPU-side", "CPU share", "base requirement", "dyn perf vs oracle")
-	for _, n := range s.veryDeep() {
-		dyn := s.Run(n, s.cfg(core.VDNNDyn, 0))
-		base := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
-		oracle := s.oracleBaseline(n)
+	for i, row := range rows(s.Prime(s.fig15Jobs()), 3) {
+		dyn, base, target := row[0], row[1], row[2]
 		cpuShare := float64(dyn.HostPinnedPeak) / float64(dyn.HostPinnedPeak+dyn.MaxUsage)
-		t.AddRow(n.Name,
+		t.AddRow(nets[i].Name,
 			report.FmtMiB(dyn.MaxUsage), report.FmtMiB(dyn.HostPinnedPeak), report.FmtPct(cpuShare),
 			report.FmtMiB(base.TotalMaxUsage()),
-			fmt.Sprintf("%.2f", float64(oracle.FETime)/float64(dyn.FETime)))
+			fmt.Sprintf("%.2f", float64(target.FETime)/float64(dyn.FETime)))
 	}
 	t.AddNote("paper: baseline grows 14x to 67.1 GB; vDNN keeps 81-92%% of allocations in host memory")
 	return t
 }
 
+func (s *Suite) powerJobs() []sweep.Job {
+	return s.cross(s.conventional(), plan.Axis{baseP, baseM, dynamic})
+}
+
 // Power reproduces the Section V-D study: average and maximum board power of
 // vDNN-dyn against the baseline. VGG-16 (256) is excluded as in the paper
 // (the baseline cannot run it at all).
-func (s *Suite) powerJobs() []sweep.Job {
-	var js []sweep.Job
-	for _, n := range s.conventional() {
-		js = append(js, job(n, s.cfg(core.Baseline, core.PerfOptimal)),
-			job(n, s.cfg(core.Baseline, core.MemOptimal)),
-			job(n, s.cfg(core.VDNNDyn, 0)))
-	}
-	return js
-}
-
 func (s *Suite) Power() *report.Table {
-	s.Prime(s.powerJobs())
+	nets := s.conventional()
 	t := report.NewTable("Section V-D — GPU power, vDNN-dyn vs baseline (W)",
 		"network", "base avg", "dyn avg", "base max", "dyn max", "max overhead")
-	for _, n := range s.conventional() {
-		base := s.Run(n, s.cfg(core.Baseline, core.PerfOptimal))
+	for i, row := range rows(s.Prime(s.powerJobs()), 3) {
+		base, dyn := row[0], row[2]
 		if !base.Trainable {
-			base = s.Run(n, s.cfg(core.Baseline, core.MemOptimal))
+			base = row[1]
 		}
 		if !base.Trainable {
 			continue // VGG-16 (256): no baseline to compare against
 		}
-		dyn := s.Run(n, s.cfg(core.VDNNDyn, 0))
 		over := dyn.Power.MaxW/base.Power.MaxW - 1
-		t.AddRow(n.Name,
+		t.AddRow(nets[i].Name,
 			fmt.Sprintf("%.0f", base.Power.AvgW), fmt.Sprintf("%.0f", dyn.Power.AvgW),
 			fmt.Sprintf("%.0f", base.Power.MaxW), fmt.Sprintf("%.0f", dyn.Power.MaxW),
 			report.FmtPct(over))
@@ -560,18 +538,20 @@ func (s *Suite) Power() *report.Table {
 	return t
 }
 
+// trainRow is a table row: a label, then whether each result trains.
+func trainRow(label string, row []*core.Result) []string {
+	cells := []string{label}
+	for _, r := range row {
+		cells = append(cells, yesNo(r.Trainable))
+	}
+	return cells
+}
+
 func yesNo(b bool) string {
 	if b {
 		return "yes"
 	}
 	return "no"
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Short aliases for the allocation categories of Figure 4.

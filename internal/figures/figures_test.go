@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"vdnn/internal/core"
 	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
 	"vdnn/internal/networks"
+	"vdnn/internal/sweep"
 )
 
 // One shared suite: figure generation is expensive enough to memoize across
@@ -146,9 +148,9 @@ func TestSuiteMemoization(t *testing.T) {
 	if n1 != n2 {
 		t.Fatal("network memoization broken")
 	}
-	cfg := s.cfg(0, 0)
-	r1 := s.Run(n1, cfg)
-	r2 := s.Run(n1, cfg)
+	jobs := []sweep.Job{{Net: n1, Cfg: core.Config{Spec: s.Spec}}}
+	r1 := s.Prime(jobs)[0]
+	r2 := s.Prime(jobs)[0]
 	if r1 != r2 {
 		t.Fatal("result memoization broken")
 	}

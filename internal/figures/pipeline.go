@@ -2,11 +2,11 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 
 	"vdnn/internal/core"
-	"vdnn/internal/dnn"
-	"vdnn/internal/networks"
 	"vdnn/internal/pcie"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -21,32 +21,26 @@ import (
 // pipelineMicroBatchCounts are the pipeline points of the study.
 var pipelineMicroBatchCounts = []int{4, 8, 16}
 
-func (s *Suite) pipelineNet() *dnn.Network {
-	return s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
-}
-
-func (s *Suite) pipelineDPNet() *dnn.Network {
-	return s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-}
-
-// pipelineCfg is a 4-stage pipeline over the shared root complex.
-func (s *Suite) pipelineCfg(microBatches int) core.Config {
-	return core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal,
-		Stages: 4, MicroBatches: microBatches, Topology: pcie.SharedGen3Root()}
+// parallelJobs is VGG-16's 256-image global batch under vDNN-all(m) on the
+// device three ways: on one GPU, on 4 data-parallel replicas of 64, and on a
+// 4-stage pipeline at each micro-batch count — the multi-GPU modes behind
+// one shared gen3 x16 root complex.
+func (s *Suite) parallelJobs(device plan.Variant, microBatches ...int) []sweep.Job {
+	n256, n64 := s.vgg16(256), s.vgg16(64)
+	on := plan.Axis{device}
+	policy := plan.Axis{allM}
+	pipelines := axis(func(m int) plan.Variant { return plan.PipelineVariant(4, m, pcie.SharedGen3Root()) },
+		microBatches...)
+	return slices.Concat(s.cross(n256, on, policy),
+		s.cross(n64, on, policy, plan.Axis{sharedRoot(4)}),
+		s.cross(n256, on, policy, pipelines))
 }
 
 // caseStudyPipelineJobs is the simulation set: the single-GPU reference, the
 // 4-replica data-parallel split, and 4-stage pipelines at rising micro-batch
-// counts.
+// counts, on the suite's device.
 func (s *Suite) caseStudyPipelineJobs() []sweep.Job {
-	js := []sweep.Job{
-		job(s.pipelineNet(), core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal}),
-		job(s.pipelineDPNet(), s.contentionCfg(core.VDNNAll, core.MemOptimal, 4)),
-	}
-	for _, m := range pipelineMicroBatchCounts {
-		js = append(js, job(s.pipelineNet(), s.pipelineCfg(m)))
-	}
-	return js
+	return s.parallelJobs(deviceVariant(s.Spec), pipelineMicroBatchCounts...)
 }
 
 // CaseStudyPipeline renders the comparison: iteration time and throughput
@@ -55,8 +49,7 @@ func (s *Suite) caseStudyPipelineJobs() []sweep.Job {
 // inter-stage hand-offs), the pipeline's measured bubble, and the
 // partitioner's stage imbalance.
 func (s *Suite) CaseStudyPipeline() *report.Table {
-	s.Prime(s.caseStudyPipelineJobs())
-
+	rs := s.Prime(s.caseStudyPipelineJobs())
 	t := report.NewTable("Case study — pipeline vs data parallelism: VGG-16, 256-image global batch, 4 GPUs on one shared x16 root complex",
 		"mode", "iter (ms)", "img/s", "interconnect (MB)", "bubble", "imbalance", "peak pool/GPU (MB)")
 	row := func(mode string, r *core.Result, traffic int64) {
@@ -71,12 +64,10 @@ func (s *Suite) CaseStudyPipeline() *report.Table {
 			report.FmtMiB(r.MaxUsage))
 	}
 
-	single := s.Run(s.pipelineNet(), core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal})
-	row("1 GPU", single, 0)
-	dp := s.Run(s.pipelineDPNet(), s.contentionCfg(core.VDNNAll, core.MemOptimal, 4))
-	row("data-parallel 4x64", dp, dp.AllReduceBytes)
-	for _, m := range pipelineMicroBatchCounts {
-		r := s.Run(s.pipelineNet(), s.pipelineCfg(m))
+	row("1 GPU", rs[0], 0)
+	row("data-parallel 4x64", rs[1], rs[1].AllReduceBytes)
+	for i, m := range pipelineMicroBatchCounts {
+		r := rs[2+i]
 		row(fmt.Sprintf("pipeline 4 stages, M=%d", m), r, r.InterStageBytes)
 	}
 

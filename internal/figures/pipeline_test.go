@@ -3,7 +3,6 @@ package figures
 import (
 	"testing"
 
-	"vdnn/internal/core"
 	"vdnn/internal/gpu"
 )
 
@@ -14,18 +13,16 @@ import (
 // the pipeline bubble.
 func TestPipelineCaseStudyInvariants(t *testing.T) {
 	s := NewSuite(gpu.TitanX())
-	s.Prime(s.caseStudyPipelineJobs())
-
-	single := s.Run(s.pipelineNet(), core.Config{Spec: s.Spec, Policy: core.VDNNAll, Algo: core.MemOptimal})
-	dp := s.Run(s.pipelineDPNet(), s.contentionCfg(core.VDNNAll, core.MemOptimal, 4))
+	rs := s.Prime(s.caseStudyPipelineJobs())
+	single, dp := rs[0], rs[1]
 
 	if dp.AllReduceBytes == 0 || dp.InterStageBytes != 0 {
 		t.Fatalf("data-parallel traffic: all-reduce %d, inter-stage %d", dp.AllReduceBytes, dp.InterStageBytes)
 	}
 
 	prevBubble := 1.0
-	for _, m := range pipelineMicroBatchCounts {
-		r := s.Run(s.pipelineNet(), s.pipelineCfg(m))
+	for i, m := range pipelineMicroBatchCounts {
+		r := rs[2+i]
 		if !r.Trainable {
 			t.Fatalf("pipeline M=%d untrainable: %s", m, r.FailReason)
 		}

@@ -6,10 +6,8 @@ import (
 
 	"vdnn"
 	"vdnn/internal/core"
-	"vdnn/internal/dnn"
-	"vdnn/internal/gpu"
-	"vdnn/internal/networks"
 	"vdnn/internal/pcie"
+	"vdnn/internal/plan"
 	"vdnn/internal/report"
 	"vdnn/internal/sweep"
 )
@@ -24,9 +22,6 @@ import (
 // plannerMemCap is the per-device memory cap of the study.
 const plannerMemCap int64 = 16 << 30
 
-// plannerSpec is the fleet device: the suite's GPU with 16 GB on board.
-func (s *Suite) plannerSpec() gpu.Spec { return s.Spec.WithMemory(plannerMemCap) }
-
 // plannerRequest is the planning problem handed to the search.
 func (s *Suite) plannerRequest() vdnn.PlanRequest {
 	return vdnn.PlanRequest{
@@ -39,32 +34,14 @@ func (s *Suite) plannerRequest() vdnn.PlanRequest {
 	}
 }
 
-// plannerHandTuned are the configurations a practitioner would reach for
-// without the planner: the single-GPU vDNN reference and the hand-tuned
-// data-parallel and pipeline splits of the earlier case studies, all on the
-// same capped fleet.
-func (s *Suite) plannerHandTuned() []struct {
-	name string
-	net  *dnn.Network
-	cfg  core.Config
-} {
-	spec := s.plannerSpec()
-	n256 := s.net(func() *dnn.Network { return networks.VGG16(256) }, "vgg16-256")
-	n64 := s.net(func() *dnn.Network { return networks.VGG16(64) }, "vgg16-64")
-	return []struct {
-		name string
-		net  *dnn.Network
-		cfg  core.Config
-	}{
-		{"hand-tuned: 1 GPU vDNN-all(m)", n256,
-			core.Config{Spec: spec, Policy: core.VDNNAll, Algo: core.MemOptimal}},
-		{"hand-tuned: data-parallel 4x64 vDNN-all(m)", n64,
-			core.Config{Spec: spec, Policy: core.VDNNAll, Algo: core.MemOptimal,
-				Devices: 4, Topology: pcie.SharedGen3Root()}},
-		{"hand-tuned: pipeline 4 stages M=16 vDNN-all(m)", n256,
-			core.Config{Spec: spec, Policy: core.VDNNAll, Algo: core.MemOptimal,
-				Stages: 4, MicroBatches: 16, Topology: pcie.SharedGen3Root()}},
-	}
+// plannerHandTuned names the configurations a practitioner would reach for
+// without the planner, in caseStudyPlannerJobs order: the single-GPU vDNN
+// reference and the hand-tuned data-parallel and pipeline splits of the
+// earlier case studies, all on the same capped fleet.
+var plannerHandTuned = []string{
+	"hand-tuned: 1 GPU vDNN-all(m)",
+	"hand-tuned: data-parallel 4x64 vDNN-all(m)",
+	"hand-tuned: pipeline 4 stages M=16 vDNN-all(m)",
 }
 
 func (s *Suite) caseStudyPlannerJobs() []sweep.Job {
@@ -76,18 +53,14 @@ func (s *Suite) caseStudyPlannerJobs() []sweep.Job {
 	if _, err := s.sim.Plan(context.Background(), s.plannerRequest()); err != nil {
 		panic(fmt.Sprintf("figures: planner: %v", err))
 	}
-	var js []sweep.Job
-	for _, h := range s.plannerHandTuned() {
-		js = append(js, job(h.net, h.cfg))
-	}
-	return js
+	return s.parallelJobs(plan.CapacityVariant(plannerMemCap), 16)
 }
 
 // CaseStudyPlanner runs the design-space search and renders its pick next
 // to the hand-tuned alternatives: same workload, same fleet, and the step
 // time each one actually delivers under the cap.
 func (s *Suite) CaseStudyPlanner() *report.Table {
-	s.Prime(s.caseStudyPlannerJobs())
+	rs := s.Prime(s.caseStudyPlannerJobs())
 	p, err := s.sim.Plan(context.Background(), s.plannerRequest())
 	if err != nil {
 		panic(fmt.Sprintf("figures: planner: %v", err))
@@ -105,9 +78,8 @@ func (s *Suite) CaseStudyPlanner() *report.Table {
 	best, res := p.Best, p.Result
 	row(fmt.Sprintf("planner pick: %s %s codec %s", best.Mode(), best.PolicyLabel(), best.CodecLabel()),
 		res, 1)
-	for _, h := range s.plannerHandTuned() {
-		r := s.Run(h.net, h.cfg)
-		row(h.name, r, float64(r.IterTime)/float64(res.IterTime))
+	for i, name := range plannerHandTuned {
+		row(name, rs[i], float64(rs[i].IterTime)/float64(res.IterTime))
 	}
 
 	c := p.Counters

@@ -368,6 +368,21 @@ func TestCrossRowMajor(t *testing.T) {
 			t.Errorf("cfg[%d] = %q, want %q", i, cfg.StageCuts, want[i])
 		}
 	}
+
+	// CrossJobs is network-major over the same product: one contiguous
+	// run of the configurations per network.
+	nets := []*dnn.Network{networks.AlexNet(8), networks.AlexNet(16)}
+	jobs := plan.CrossJobs(nets, core.Config{},
+		plan.Axis{tag("a", "0"), tag("a", "1")},
+		plan.Axis{tag("b", "0"), tag("b", "1"), tag("b", "2")})
+	if len(jobs) != len(nets)*len(want) {
+		t.Fatalf("CrossJobs produced %d jobs, want %d", len(jobs), len(nets)*len(want))
+	}
+	for i, j := range jobs {
+		if j.Net != nets[i/len(want)] || j.Cfg.StageCuts != want[i%len(want)] {
+			t.Errorf("job[%d] = %s %q, want %s %q", i, j.Net.Name, j.Cfg.StageCuts, nets[i/len(want)].Name, want[i%len(want)])
+		}
+	}
 }
 
 // TestCandidatesDeterministic: the space enumeration is stable and densely

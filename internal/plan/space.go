@@ -24,8 +24,10 @@ import (
 
 	"vdnn/internal/compress"
 	"vdnn/internal/core"
+	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
 	"vdnn/internal/pcie"
+	"vdnn/internal/sweep"
 )
 
 // ---------------------------------------------------------------------------
@@ -64,6 +66,21 @@ func Cross(base core.Config, axes ...Axis) []core.Config {
 	return cfgs
 }
 
+// CrossJobs pairs every network with every configuration of
+// Cross(base, axes...), network-major: job i*len(cfgs)+j runs nets[i] under
+// the j-th configuration, so a table with one row per network reads its row
+// as one contiguous slice of the batch's results.
+func CrossJobs(nets []*dnn.Network, base core.Config, axes ...Axis) []sweep.Job {
+	cfgs := Cross(base, axes...)
+	jobs := make([]sweep.Job, 0, len(nets)*len(cfgs))
+	for _, n := range nets {
+		for _, c := range cfgs {
+			jobs = append(jobs, sweep.Job{Net: n, Cfg: c})
+		}
+	}
+	return jobs
+}
+
 // PolicyVariant selects a memory-management policy and algorithm mode.
 func PolicyVariant(p core.Policy, a core.AlgoMode) Variant {
 	return Variant{Label: PolicyLabel(p, a), Apply: func(c core.Config) core.Config {
@@ -76,6 +93,14 @@ func PolicyVariant(p core.Policy, a core.AlgoMode) Variant {
 func CapacityVariant(bytes int64) Variant {
 	return Variant{Label: fmt.Sprintf("%dGB", bytes>>30), Apply: func(c core.Config) core.Config {
 		c.Spec = c.Spec.WithMemory(bytes)
+		return c
+	}}
+}
+
+// LinkVariant attaches the device to the host over link.
+func LinkVariant(link pcie.Link) Variant {
+	return Variant{Label: link.Name, Apply: func(c core.Config) core.Config {
+		c.Spec.Link = link
 		return c
 	}}
 }

@@ -124,7 +124,11 @@ type Stats struct {
 	// Simulations is the number of top-level requests that were computed
 	// rather than served from the cache — each holds a worker slot and
 	// counts once whether it ran a full simulation or was priced from a
-	// shared structure.
+	// shared structure. Nested resolutions — the static candidates a
+	// vDNN-dyn profiler evaluates — are not counted, so the number depends
+	// on batch order: a configuration first computed as a nested candidate
+	// is a hit when requested later at top level, while one requested first
+	// at top level counts here.
 	Simulations int64 `json:"simulations"`
 	// Structures is the number of capacity-independent structure builds —
 	// full simulations recorded for differential re-pricing (usually a
