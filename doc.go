@@ -256,15 +256,16 @@
 // sequence — and every further capacity is priced from that trace instead
 // of re-simulating (roughly a 6x end-to-end reduction on a capacity sweep,
 // and exact: a priced Result is deeply equal to the full simulation's,
-// untrainable points included). Pricing rarely even replays the trace: one
-// replay against an unbounded pool, on first use, yields the trace's peak
-// usage (every smaller capacity fails) and a fit bound (every capacity at
-// or above it succeeds), and only a capacity in [peak, fit) is replayed
-// against a pool of its own size. An untrainable point still runs its
-// failing attempt, for the exact failure chain, but takes its oracle demand
-// report from the structure instead of a rerun. A
-// configuration's first sweep point doubles as its structure build, so the
-// mechanism costs nothing when nothing is shared; the structure is an
+// untrainable points included). A capacity that trains rarely even replays
+// the trace: one replay against an unbounded pool, on first use, yields the
+// trace's peak usage (every smaller capacity fails) and a fit bound (every
+// capacity at or above it succeeds), and only a capacity in [peak, fit) is
+// replayed against a pool of its own size. An untrainable point is a
+// replay to its failing allocation, whose error, free list and recorded
+// place in the training loop give the exact failure chain; its oracle
+// demand report is the structure's. A configuration's first sweep point
+// doubles as its structure build, so the mechanism costs nothing when
+// nothing is shared; the structure is an
 // ordinary engine cache entry, built by whichever request claims it first
 // and coalesced onto by the rest. Shapes whose simulation
 // does depend on capacity — vDNN-dyn, greedy algorithm selection, custom

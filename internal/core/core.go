@@ -566,106 +566,85 @@ func RunContext(ctx context.Context, net *dnn.Network, cfg Config) (*Result, err
 // cache. Results runSub serves may be shared: the profiler's mutations are
 // applied to a clone. Static (non-profiling) configurations ignore runSub.
 func RunContextWith(ctx context.Context, net *dnn.Network, cfg Config, runSub Simulate) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
-		return nil, canceled(ctx)
-	}
-	cfg = cfg.WithDefaults()
-	pol, err := validateConfig(net, cfg)
+	ctx, cfg, pol, err := prepare(ctx, net, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if prof, ok := pol.(Profiler); ok {
 		return prof.Profile(net, cfg, profileSimulateWith(ctx, net, runSub))
 	}
-	return runStatic(ctx, net, cfg, pol, nil)
+	res, _, err := runStatic(ctx, net, cfg, pol, false)
+	return res, err
 }
 
-// validateConfig runs the full validation chain on a normalized
-// configuration and resolves its policy implementation.
-func validateConfig(net *dnn.Network, cfg Config) (OffloadPolicy, error) {
+// prepare readies a run: a nil ctx is context.Background(), a done one aborts,
+// and cfg is normalized, fully validated and resolved to its policy.
+func prepare(ctx context.Context, net *dnn.Network, cfg Config) (context.Context, Config, OffloadPolicy, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ctx.Err() != nil {
+		return nil, cfg, nil, canceled(ctx)
+	}
+	cfg = cfg.WithDefaults()
 	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
+		return nil, cfg, nil, err
 	}
 	if cfg.Devices > maxDevices {
-		return nil, fmt.Errorf("core: %d devices exceeds the limit of %d", cfg.Devices, maxDevices)
+		return nil, cfg, nil, fmt.Errorf("core: %d devices exceeds the limit of %d", cfg.Devices, maxDevices)
 	}
 	if err := cfg.validatePipeline(len(net.Layers)); err != nil {
-		return nil, err
+		return nil, cfg, nil, err
 	}
 	if err := cfg.Topology.Validate(); err != nil {
-		return nil, err
+		return nil, cfg, nil, err
 	}
 	if err := cfg.Compression.Validate(); err != nil {
-		return nil, err
+		return nil, cfg, nil, err
 	}
 	if err := net.Validate(); err != nil {
-		return nil, err
+		return nil, cfg, nil, err
 	}
-	return cfg.policyImpl()
+	pol, err := cfg.policyImpl()
+	return ctx, cfg, pol, err
 }
 
 // runStatic simulates one non-profiling configuration; when it cannot train,
 // the Result is the failure wrapped around the configuration's demand on an
-// oracle-sized pool, the hypothetical-demand report of Figure 11's starred
-// bars. st selects what backs that report:
-//
-//   - nil: an oracle rerun of the same plan;
-//   - empty (st.Res == nil): the same, and st records the structure — the
-//     allocator trace and oracle Result of whichever run trained (the run at
-//     cfg's own capacity when it trains, the oracle rerun otherwise);
-//   - filled: st.Res stands in for the oracle rerun, which is never run.
+// oracle-sized pool — an oracle rerun of the same plan — the
+// hypothetical-demand report of Figure 11's starred bars. With record set it
+// also returns the Structure of whichever run trained: the run at cfg's own
+// capacity when it trains, the oracle rerun otherwise.
 //
 // A configuration already at oracle capacity (cfg.Oracle) has nothing to
-// rerun: when it fails without a filled st, the failure is the error.
-func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, st *Structure) (*Result, error) {
+// rerun: when it fails, the failure is the error.
+func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, record bool) (*Result, *Structure, error) {
 	plan, err := buildPlan(net, cfg, pol)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var tr *memalloc.Trace
-	if st != nil && st.Res == nil {
-		tr = &memalloc.Trace{}
-	}
-	res, runErr := execute(ctx, net, cfg, pol, plan, tr)
+	res, st, runErr := execute(ctx, net, cfg, pol, plan, record)
 	if runErr == nil {
-		if tr != nil {
-			oracle := *res
-			oracle.Oracle = true
-			st.Res, st.trace = &oracle, tr
-		}
-		return res, nil
+		return res, st, nil
 	}
 	if errors.Is(runErr, ErrCanceled) {
 		// Aborted, not untrainable: the oracle rerun would burn a second full
 		// simulation on a request nobody is waiting for.
-		return nil, runErr
-	}
-	if st != nil && st.Res != nil {
-		return untrainable(st.Res, cfg, runErr), nil
+		return nil, nil, runErr
 	}
 	if cfg.Oracle {
 		// The attempt already ran at oracle capacity: a rerun would execute
 		// the identical configuration and fail the same way.
-		return nil, fmt.Errorf("core: oracle rerun failed: %w", runErr)
+		return nil, nil, fmt.Errorf("core: oracle rerun failed: %w", runErr)
 	}
-	// OOM: report the hypothetical demand on an oracular device. The failure
-	// cut the recorded trace short, so a recording run records afresh.
-	if tr != nil {
-		tr = &memalloc.Trace{}
-	}
+	// OOM: report the hypothetical demand on an oracular device.
 	oracleCfg := cfg
 	oracleCfg.Oracle = true
-	oracle, err := execute(ctx, net, oracleCfg, pol, plan, tr)
+	oracle, st, err := execute(ctx, net, oracleCfg, pol, plan, record)
 	if err != nil {
-		return nil, fmt.Errorf("core: oracle rerun failed: %w", err)
+		return nil, nil, fmt.Errorf("core: oracle rerun failed: %w", err)
 	}
-	if tr != nil {
-		st.Res, st.trace = oracle, tr
-	}
-	return untrainable(oracle, cfg, runErr), nil
+	return untrainable(oracle, cfg, runErr), st, nil
 }
 
 // untrainable is the report of a configuration that failed at its real
@@ -673,8 +652,7 @@ func runStatic(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPol
 // hypothetical demand) carrying cfg's Oracle flag, Trainable=false, the
 // failure text, and — under Debug — the free list at the failed allocation.
 func untrainable(oracle *Result, cfg Config, runErr error) *Result {
-	r := *oracle
-	r.Oracle = cfg.Oracle
+	r := oracle.withOracle(cfg.Oracle)
 	r.Trainable = false
 	r.FailReason = runErr.Error()
 	if cfg.Debug {
@@ -683,8 +661,11 @@ func untrainable(oracle *Result, cfg Config, runErr error) *Result {
 			r.DebugFreeSpans = af.FreeSpans
 		}
 	}
-	return &r
+	return r
 }
+
+// withOracle is a copy of the Result with Oracle set to oracle.
+func (r Result) withOracle(oracle bool) *Result { r.Oracle = oracle; return &r }
 
 // profileSimulateWith builds the Simulate callback handed to a profiling
 // policy: one static candidate per call, (nil, nil) when the candidate cannot
@@ -728,7 +709,7 @@ func profileSimulateWith(ctx context.Context, net *dnn.Network, runSub Simulate)
 		if err != nil {
 			return nil, err
 		}
-		res, runErr := execute(ctx, net, sub, pol, plan, nil)
+		res, _, runErr := execute(ctx, net, sub, pol, plan, false)
 		if runErr != nil {
 			if errors.Is(runErr, ErrCanceled) {
 				return nil, runErr

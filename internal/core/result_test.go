@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"vdnn/internal/dnn"
 	"vdnn/internal/gpu"
+	"vdnn/internal/networks"
 )
 
 // checkResult asserts the invariants of a trainable Result's measured
@@ -46,5 +48,33 @@ func checkResult(t *testing.T, label string, r *Result) {
 	}
 	if energy != r.Energy {
 		t.Errorf("%s: device energy sums to %+v, Result has %+v", label, energy, r.Energy)
+	}
+}
+
+// TestDebugPeakLiveSumsToMaxUsage pins the Debug peak attribution
+// (memalloc.Pool.SnapshotAt, via Result.DebugPeakLive): the live allocations
+// it reconstructs at the pool's peak time add up to exactly the peak, and
+// every label it lists holds a positive number of bytes.
+func TestDebugPeakLiveSumsToMaxUsage(t *testing.T) {
+	for _, net := range []*dnn.Network{networks.AlexNet(128), networks.VGG16(64), networks.GoogLeNet(64)} {
+		for _, p := range []Policy{Baseline, VDNNAll, VDNNConv} {
+			for _, a := range []AlgoMode{MemOptimal, PerfOptimal} {
+				cfg := Config{Spec: gpu.TitanX(), Policy: p, Algo: a, Debug: true, Oracle: true}
+				r, err := Run(net, cfg)
+				if err != nil {
+					t.Fatalf("%s %v %v: %v", net.Name, p, a, err)
+				}
+				var sum int64
+				for label, n := range r.DebugPeakLive {
+					if n <= 0 {
+						t.Errorf("%s %v %v: %s holds %d bytes at the peak", net.Name, p, a, label, n)
+					}
+					sum += n
+				}
+				if sum != r.MaxUsage {
+					t.Errorf("%s %v %v: live allocations at the peak sum to %d, MaxUsage %d", net.Name, p, a, sum, r.MaxUsage)
+				}
+			}
+		}
 	}
 }

@@ -98,6 +98,7 @@ type runtime struct {
 
 	dev  *gpu.Device
 	pool *memalloc.Pool // the vDNN/cnmem pool: feature-extraction memory
+	rec  *Structure     // records the pool's trace and each allocation's site
 	fw   *memalloc.Pool // framework-side (classifier) memory, outside vDNN
 	host *hostmem.Host
 
@@ -120,7 +121,7 @@ type runtime struct {
 
 	sharedWS *memalloc.Block // baseline: single reused workspace
 
-	iter      int // current iteration (0-based)
+	at        site // the trainer's current place: iteration, layer pass
 	stats     []LayerStats
 	fwdStarts []sim.Time // first fwd kernel start per layer
 	onDemand  int
@@ -139,9 +140,9 @@ type runtime struct {
 // stage owning layers [lo, hi) — the whole network outside pipelines — of
 // one replica, on the given device, split into mbCount micro-batches. It
 // performs the persistent allocations (framework memory, pool setup); an
-// allocation failure means the configuration is untrainable. A non-nil tr
-// attaches an allocator trace recorder to the vDNN pool (differential
-// evaluation; structure.go).
+// allocation failure means the configuration is untrainable. With record
+// set, the runtime records its vDNN pool's allocator trace and the site of
+// every allocation into a Structure (differential evaluation; structure.go).
 //
 // Memory accounting follows the paper's prototype (Section IV-A): the
 // classification layers "remain unchanged and use the same cuBLAS routines
@@ -150,8 +151,9 @@ type runtime struct {
 // sized to the GPU's remaining capacity and holds everything the memory
 // manager controls: feature-extraction maps, gradient maps, FE weights, and
 // convolution workspaces. Figure 11's usage numbers are pool numbers.
-func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, hi, mbCount int, tr *memalloc.Trace) (*runtime, error) {
+func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, lo, hi, mbCount int, record bool) (*runtime, error) {
 	e := &runtime{
+		at:        site{iter: -1, layer: -1},
 		cfg:       cfg,
 		net:       net,
 		plan:      plan,
@@ -215,13 +217,14 @@ func newRuntimeRange(net *dnn.Network, cfg Config, plan *Plan, dev *gpu.Device, 
 		capacity = oraclePool
 	}
 	if capacity <= 0 {
-		return nil, fmt.Errorf("core: classifier memory %d alone exceeds device capacity", e.fw.Used())
+		return nil, classifierErr(e.fw.Used())
 	}
-	if tr != nil {
-		e.pool = memalloc.NewTraced(capacity, tr)
-	} else {
-		e.pool = memalloc.New(capacity)
+	var tr *memalloc.Trace
+	if record {
+		tr = &memalloc.Trace{}
+		e.rec = &Structure{trace: tr}
 	}
+	e.pool = memalloc.NewTraced(capacity, tr)
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
@@ -342,7 +345,15 @@ func (e *runtime) alloc(size int64, kind memalloc.Kind, label string) (*memalloc
 	if err != nil {
 		return nil, &AllocFailure{Label: label, Err: err, FreeSpans: e.pool.FreeSpans()}
 	}
+	if e.rec != nil {
+		e.rec.sites = append(e.rec.sites, e.at)
+	}
 	return b, nil
+}
+
+// classifierErr fails a device whose classifier memory leaves no vDNN pool.
+func classifierErr(fw int64) error {
+	return fmt.Errorf("core: classifier memory %d alone exceeds device capacity", fw)
 }
 
 // isClassifierRoot reports whether a buffer belongs to the unmanaged

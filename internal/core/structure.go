@@ -17,16 +17,14 @@ import (
 // ways: through allocation failure, and through LargestFree (greedy algorithm
 // selection only). BuildStructureAt therefore runs the configuration once
 // through runStatic while recording the allocator call sequence
-// (memalloc.Trace) of whichever run trained — the run at the point's own
-// capacity, or the oracle rerun when that point is untrainable. Price then
-// evaluates the same configuration at any other capacity from that trace
-// alone and reuses the structure's Result wholesale when the trace fits. Two
-// bounds, computed once per trace by one replay against an unbounded pool,
-// decide most capacities in O(1): below the trace's peak usage the point is
-// untrainable, at or above its fit bound it trains; only a capacity inside
-// [peak, fit) is replayed. An untrainable point goes back through runStatic,
-// which runs the real attempt only for its exact failure chain and takes the
-// structure's Result as the oracle demand report instead of re-simulating it.
+// (memalloc.Trace), with each allocation's site in the trainer's loop, of
+// whichever run trained — the run at the point's own capacity, or the oracle
+// rerun when that point is untrainable. Price then evaluates the same
+// configuration at any other capacity from that trace alone: a capacity at
+// or above the trace's fit bound trains in O(1), any other is replayed. A
+// fitting replay reuses the structure's Result wholesale. A failing one
+// stops at the failing allocation, which a run at that capacity reaches by
+// the same calls, so its error, free list and site are the run's failure.
 //
 // Everything here is exact, never approximate: a priced Result is
 // reflect.DeepEqual to the full simulation's (the sweep engine's equivalence
@@ -65,23 +63,18 @@ func StructureShaped(cfg Config) bool {
 type Structure struct {
 	Res   *Result
 	trace *memalloc.Trace
+	sites []site // each traced allocation's site, by its ordinal (Block.seq)
 }
 
 // Price evaluates cfg — the structure's configuration at any device
-// capacity — and returns exactly what RunContext would. An oracle request
-// is the structure's Result; a real capacity asks whether the recorded
-// allocator trace fits the pool left after the classifier
-// (memalloc.Trace.Fits: O(1) outside [peak, fit), a replay inside) and
-// reuses the structure's Result when it does. Otherwise the point is
-// untrainable — a pool at or below the classifier bytes included — and
-// runStatic runs the real attempt once for the exact failure chain, wrapped
-// around the structure's Result as the oracle demand report. The bool is
-// always err == nil; it is kept for existing callers.
+// capacity — and returns exactly what RunContext would, without simulating.
+// An oracle request, or a capacity the trace fits, is the structure's
+// Result. An untrainable one — the trace's first failing call, or no pool
+// left after the classifier — is that failure wrapped around the
+// structure's Result as the oracle demand report. The bool is always
+// err == nil; it is kept for existing callers.
 func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*Result, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
+	if ctx != nil && ctx.Err() != nil {
 		return nil, false, canceled(ctx)
 	}
 	cfg = cfg.WithDefaults()
@@ -90,20 +83,25 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, false, err
 	}
-	// The framework (classifier) memory is allocated before the pool is
-	// sized and never grows afterward, so the structure's FrameworkBytes is
-	// exactly the fw.Used() the real run would subtract from the spec.
-	if cfg.Oracle || s.trace.Fits(cfg.Spec.PoolBytes()-s.Res.FrameworkBytes) {
-		r := *s.Res
-		r.Oracle = cfg.Oracle
-		return &r, true, nil
+	if !cfg.Oracle {
+		// The classifier memory is allocated before the pool is sized and never
+		// grows, so FrameworkBytes is the fw.Used() a run subtracts from the spec.
+		pool := cfg.Spec.PoolBytes() - s.Res.FrameworkBytes
+		if pool <= 0 {
+			return untrainable(s.Res, cfg, classifierErr(s.Res.FrameworkBytes)), true, nil
+		}
+		if seq, oom, spans := s.trace.Failure(pool); oom != nil {
+			at, err := s.sites[seq], error(&AllocFailure{Label: oom.Label, Err: oom, FreeSpans: spans})
+			if at.layer >= 0 {
+				err = at.passErr(net, -1, err)
+			}
+			if at.iter >= 0 {
+				err = iterErr(int(at.iter), err)
+			}
+			return untrainable(s.Res, cfg, err), true, nil
+		}
 	}
-	pol, err := cfg.policyImpl()
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := runStatic(ctx, net, cfg, pol, s)
-	return res, err == nil, err
+	return s.Res.withOracle(cfg.Oracle), true, nil
 }
 
 // BuildStructureAt simulates cfg at its configured device capacity while
@@ -115,22 +113,14 @@ func (s *Structure) Price(ctx context.Context, net *dnn.Network, cfg Config) (*R
 // which then records the structure — and its Result is RunContext's
 // untrainable report. cfg must be structure-shaped and valid.
 func BuildStructureAt(ctx context.Context, net *dnn.Network, cfg Config) (*Structure, *Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Err() != nil {
-		return nil, nil, canceled(ctx)
-	}
-	cfg = cfg.WithDefaults()
-	pol, err := validateConfig(net, cfg)
+	ctx, cfg, pol, err := prepare(ctx, net, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !StructureShaped(cfg) {
 		return nil, nil, fmt.Errorf("core: policy %q is not structure-shaped", pol.Name())
 	}
-	st := &Structure{}
-	res, err := runStatic(ctx, net, cfg, pol, st)
+	res, st, err := runStatic(ctx, net, cfg, pol, true)
 	if err != nil {
 		return nil, nil, err
 	}

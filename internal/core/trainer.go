@@ -45,16 +45,16 @@ type grid struct {
 // untrainable). plan is the full-network plan every replica follows; a
 // pipeline instead derives one plan per stage from the policy. A done ctx
 // aborts the run at the next layer boundary with an ErrCanceled-wrapping
-// error. tr, when non-nil, records the vDNN pool's allocator calls; only
-// structure-shaped (single-device) configurations pass one.
-func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan, tr *memalloc.Trace) (*Result, error) {
+// error. With record set, a run that trains also returns its Structure; only
+// structure-shaped (single-device) configurations record.
+func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolicy, plan *Plan, record bool) (*Result, *Structure, error) {
 	R, S := cfg.Devices, cfg.Stages
 	parts := []partition.Stage{{Lo: 0, Hi: len(net.Layers)}}
 	var bounds []stageBoundary
 	if S > 1 {
 		var err error
 		if parts, bounds, err = pipelineStages(net, cfg, pol); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	tl := sim.New(cfg.Spec.LaunchOverhead, cfg.Spec.SyncOverhead)
@@ -86,14 +86,14 @@ func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolic
 			if S > 1 {
 				var err error
 				if cellPlan, err = buildStagePlan(net, cfg, pol, pr.Lo, pr.Hi); err != nil {
-					return nil, g.cellErr(r, s, err)
+					return nil, nil, g.cellErr(r, s, err)
 				}
 			}
 			dev := gpu.NewDeviceOn(tl, cfg.Spec, r*S+s, down, up)
 			dev.UsePageMigration = cfg.PageMigration
-			rt, err := newRuntimeRange(net, cellCfg, cellPlan, dev, pr.Lo, pr.Hi, g.M, tr)
+			rt, err := newRuntimeRange(net, cellCfg, cellPlan, dev, pr.Lo, pr.Hi, g.M, record)
 			if err != nil {
-				return nil, g.cellErr(r, s, err)
+				return nil, nil, g.cellErr(r, s, err)
 			}
 			rt.ctx = ctx
 			g.cells[r][s] = rt
@@ -104,28 +104,32 @@ func execute(ctx context.Context, net *dnn.Network, cfg Config, pol OffloadPolic
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		for _, row := range g.cells {
 			for _, c := range row {
-				c.iter = iter
+				c.at = site{iter: int32(iter), layer: -1}
 				c.resetIteration()
 			}
 		}
 		winStart = tl.Now()
 		if err := g.step(); err != nil {
-			return nil, fmt.Errorf("iteration %d: %w", iter, err)
+			return nil, nil, iterErr(iter, err)
 		}
 	}
 	winEnd := tl.Now()
 	if err := tl.Validate(); err != nil {
-		return nil, fmt.Errorf("core: schedule invariant broken: %w", err)
+		return nil, nil, fmt.Errorf("core: schedule invariant broken: %w", err)
 	}
 	for _, ch := range []*sim.SharedChannel{down, up} {
 		if ch == nil {
 			continue
 		}
 		if err := ch.Validate(); err != nil {
-			return nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
+			return nil, nil, fmt.Errorf("core: interconnect invariant broken: %w", err)
 		}
 	}
-	return g.assemble(cfg, winStart, winEnd), nil
+	res, rec := g.assemble(cfg, winStart, winEnd), g.cells[0][0].rec
+	if rec != nil {
+		rec.Res = res.withOracle(true)
+	}
+	return res, rec, nil
 }
 
 // step drives one training step over the grid: the paper's Figure 9 host
@@ -157,6 +161,7 @@ func (g *grid) step() error {
 			for r, row := range g.cells {
 				row[s].setMB(mb)
 				if s == 0 {
+					row[s].at.layer = -1
 					if err := row[s].beginIteration(); err != nil {
 						return g.cellErr(r, s, err)
 					}
@@ -168,9 +173,10 @@ func (g *grid) step() error {
 					return err
 				}
 				for r, row := range g.cells {
+					row[s].at.layer, row[s].at.bwd = int32(l.ID), false
 					p, err := row[s].issueForward(l)
 					if err != nil {
-						return g.layerErr(r, s, "fwd", l, err)
+						return g.layerErr(r, s, err)
 					}
 					g.fp[r] = p
 				}
@@ -212,9 +218,10 @@ func (g *grid) step() error {
 					return err
 				}
 				for r, row := range g.cells {
+					row[s].at.layer, row[s].at.bwd = int32(l.ID), true
 					p, err := row[s].issueBackward(l)
 					if err != nil {
-						return g.layerErr(r, s, "bwd", l, err)
+						return g.layerErr(r, s, err)
 					}
 					g.bp[r] = p
 				}
@@ -278,16 +285,37 @@ func (g *grid) cellErr(r, s int, err error) error {
 	return err
 }
 
-// layerErr wraps a failure of one layer's forward or backward pass with the
-// layer — and, in a pipeline, the micro-batch — before the cell prefix.
-func (g *grid) layerErr(r, s int, pass string, l *dnn.Layer, err error) error {
+// layerErr wraps a failure of cell (r, s)'s current layer pass with its
+// site's pass and layer (passErr) before the cell prefix.
+func (g *grid) layerErr(r, s int, err error) error {
+	c, mb := g.cells[r][s], -1
 	if g.S > 1 {
-		err = fmt.Errorf("%s %s (mb %d): %w", pass, l.Name, g.cells[r][s].mbIndex, err)
-	} else {
-		err = fmt.Errorf("%s %s: %w", pass, l.Name, err)
+		mb = c.mbIndex
 	}
-	return g.cellErr(r, s, err)
+	return g.cellErr(r, s, c.at.passErr(g.net, mb, err))
 }
+
+// site is a place in the trainer's loop: the iteration (-1 in setup) and the
+// layer pass (layer -1 outside one). The trainer words failures by it, and a
+// Structure keeps each traced allocation's, so Price words them alike.
+type site struct {
+	iter, layer int32
+	bwd         bool // the pass: backward, else forward
+}
+
+// passErr prefixes err with the pass, layer and, if mb >= 0, micro-batch.
+func (x site) passErr(net *dnn.Network, mb int, err error) error {
+	pass, l := "fwd", net.Layers[x.layer].Name
+	if x.bwd {
+		pass = "bwd"
+	}
+	if mb >= 0 {
+		return fmt.Errorf("%s %s (mb %d): %w", pass, l, mb, err)
+	}
+	return fmt.Errorf("%s %s: %w", pass, l, err)
+}
+
+func iterErr(iter int, err error) error { return fmt.Errorf("iteration %d: %w", iter, err) }
 
 // beginIteration prepares the input batch buffer. The baseline holds it
 // network-wide; vDNN allocates it per iteration (per micro-batch under

@@ -38,7 +38,7 @@ import (
 //     shifted, so every capacity ≥ fit succeeds.
 //
 // Fits answers outside [peak, fit) from the bounds alone and replays only
-// inside that band.
+// inside that band; Failure replays to the failing Alloc, as a run would.
 
 type traceKind uint8
 
@@ -76,8 +76,8 @@ type Trace struct {
 // free span.
 const unbounded = 1 << 62
 
-// NewTraced creates a pool that records every Alloc, Free and Flush into tr
-// in call order. The recorded sequence decides other capacities with Fits.
+// NewTraced creates a pool that records every Alloc, Free and Flush into tr,
+// if non-nil, in call order, for Fits and Failure to decide other capacities.
 func NewTraced(capacity int64, tr *Trace) *Pool {
 	p := New(capacity)
 	p.trace = tr
@@ -104,27 +104,44 @@ func (tr *Trace) recordFlush(t sim.Time) {
 // exactly these calls and succeed; false proves one of its allocations
 // fails. Capacities outside [peak, fit) are decided without a replay.
 func (tr *Trace) Fits(capacity int64) bool {
-	tr.bounds.Do(func() {
-		var gap int64
-		tr.peak, gap, _ = tr.replay(unbounded)
-		tr.fit = unbounded - gap
-	})
-	switch {
-	case capacity <= 0 || capacity < tr.peak:
+	if peak, _ := tr.limits(); capacity <= 0 || capacity < peak {
 		return false
-	case capacity >= tr.fit:
-		return true
 	}
-	_, _, ok := tr.replay(capacity)
-	return ok
+	_, err, _ := tr.Failure(capacity)
+	return err == nil
 }
 
-// replay re-executes the recorded call sequence against a fresh pool of the
-// given capacity. It reports whether every call succeeded, the pool's peak
-// usage, and the smallest largest-free-span seen right after an Alloc (the
-// capacity itself when nothing was allocated).
-func (tr *Trace) replay(capacity int64) (peak, minFree int64, ok bool) {
-	p := New(capacity)
+// Failure replays the call sequence against a pool of the given capacity to
+// its first failing Alloc and reports that call's ordinal among the Allocs
+// (its Block.seq), its error and the pool's free spans right after it. It
+// returns (-1, nil, nil) when no call fails: the capacity fits (from fit up
+// without a replay), or it is not positive and no such pool exists.
+func (tr *Trace) Failure(capacity int64) (seq int, err *OOMError, spans [][2]int64) {
+	if _, fit := tr.limits(); capacity <= 0 || capacity >= fit {
+		return -1, nil, nil
+	}
+	p, _, seq, err := tr.replay(capacity)
+	if err != nil {
+		spans = p.FreeSpans()
+	}
+	return seq, err, spans
+}
+
+// limits returns peak and fit, computed on first use by one unbounded replay.
+func (tr *Trace) limits() (peak, fit int64) {
+	tr.bounds.Do(func() {
+		p, gap, _, _ := tr.replay(unbounded)
+		tr.peak, tr.fit = p.peak, unbounded-gap
+	})
+	return tr.peak, tr.fit
+}
+
+// replay re-executes the recorded calls against a fresh pool of the given
+// capacity until an Alloc fails. It returns the pool, the smallest
+// largest-free-span seen right after an Alloc (the capacity if none), and the
+// failing Alloc's ordinal and error (-1 and nil when every call succeeded).
+func (tr *Trace) replay(capacity int64) (p *Pool, minFree int64, seq int, oom *OOMError) {
+	p = New(capacity)
 	p.metricsOff = true // the verdict needs no usage timeline
 	minFree = capacity
 	blocks := make([]*Block, tr.blocks)
@@ -134,7 +151,7 @@ func (tr *Trace) replay(capacity int64) (peak, minFree int64, ok bool) {
 		case traceAlloc:
 			b, err := p.Alloc(o.t, o.size, o.kind, o.label)
 			if err != nil {
-				return p.peak, minFree, false
+				return p, minFree, int(o.ref), err.(*OOMError)
 			}
 			blocks[o.ref] = b
 			if m := p.free.MaxSize(); m < minFree {
@@ -146,5 +163,5 @@ func (tr *Trace) replay(capacity int64) (peak, minFree int64, ok bool) {
 			p.Flush(o.t)
 		}
 	}
-	return p.peak, minFree, true
+	return p, minFree, -1, nil
 }

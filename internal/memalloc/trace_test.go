@@ -2,6 +2,7 @@ package memalloc
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -72,15 +73,23 @@ func binnedSpans(p *Pool) int {
 // replayStats counts what a reference replay exercised.
 type replayStats struct{ binHits, binFlushes int }
 
+// referenceFailure is what a reference replay saw at its failing call.
+type referenceFailure struct {
+	seq   int // the failing call's ordinal among the trace's Allocs
+	err   *OOMError
+	spans [][2]int64
+}
+
 // referenceFits replays tr call by call against a fresh pool of the given
 // capacity, independently of Fits' bounds, and reports whether every call
-// succeeds.
-func referenceFits(tr *Trace, capacity int64, st *replayStats) bool {
+// succeeds. When an Alloc fails and fail is non-nil, it records the call.
+func referenceFits(tr *Trace, capacity int64, st *replayStats, fail *referenceFailure) bool {
 	if capacity <= 0 {
 		return false
 	}
 	p := New(capacity)
 	blocks := make([]*Block, tr.blocks)
+	seq := 0
 	for _, o := range tr.ops {
 		switch o.op {
 		case traceAlloc:
@@ -90,8 +99,12 @@ func referenceFits(tr *Trace, capacity int64, st *replayStats) bool {
 			before := binnedSpans(p)
 			b, err := p.Alloc(o.t, o.size, o.kind, o.label)
 			if err != nil {
+				if fail != nil {
+					*fail = referenceFailure{seq, err.(*OOMError), p.FreeSpans()}
+				}
 				return false
 			}
+			seq++
 			if hit {
 				st.binHits++
 			} else if before > 0 && binnedSpans(p) == 0 {
@@ -110,7 +123,10 @@ func referenceFits(tr *Trace, capacity int64, st *replayStats) bool {
 // TestTraceFitsBounds checks Fits against a reference replay over
 // capacities around and between its two bounds: below peak every capacity
 // fails, from fit up every capacity succeeds, and inside [peak, fit) Fits
-// must agree with the replay — which, on these traces, goes both ways.
+// must agree with the replay — which, on these traces, goes both ways. At
+// every positive capacity Fits rejects, below peak included, Failure must
+// report the reference replay's failing call, error and free spans; at
+// every other (no pool exists at a capacity ≤ 0) it must report none.
 func TestTraceFitsBounds(t *testing.T) {
 	var st replayStats
 	var bandFail, bandFit int
@@ -122,16 +138,18 @@ func TestTraceFitsBounds(t *testing.T) {
 			t.Fatalf("seed %d: bounds peak=%d fit=%d", seed, peak, fit)
 		}
 		delta := (fit-peak)/4 + 4096
-		caps := []int64{peak - 1, peak, fit - 1, fit, fit + 1}
+		caps := []int64{-1, 0, peak - 1, peak, fit - 1, fit, fit + 1}
 		const steps = 64
 		for i := int64(0); i <= steps; i++ {
 			caps = append(caps, peak-delta+i*(fit-peak+2*delta)/steps)
 		}
 		for _, c := range caps {
-			got, want := tr.Fits(c), referenceFits(tr, c, &st)
+			var ref referenceFailure
+			got, want := tr.Fits(c), referenceFits(tr, c, &st, &ref)
 			if got != want {
 				t.Errorf("seed %d: Fits(%d) = %v, reference replay %v (peak %d, fit %d)", seed, c, got, want, peak, fit)
 			}
+			checkFailure(t, tr, c, got, ref)
 			if c < peak && got {
 				t.Errorf("seed %d: Fits(%d) below peak %d", seed, c, peak)
 			}
@@ -156,6 +174,26 @@ func TestTraceFitsBounds(t *testing.T) {
 	t.Logf("band: %d fitting, %d failing; bins: %d hits, %d flushes", bandFit, bandFail, st.binHits, st.binFlushes)
 }
 
+// checkFailure compares Failure at capacity c with the reference replay's
+// failing call ref; fits is Fits' verdict at c.
+func checkFailure(t *testing.T, tr *Trace, c int64, fits bool, ref referenceFailure) {
+	t.Helper()
+	seq, err, spans := tr.Failure(c)
+	if fits || c <= 0 {
+		if seq != -1 || err != nil || spans != nil {
+			t.Errorf("Failure(%d) = %d, %v, %v; want no failing call", c, seq, err, spans)
+		}
+		return
+	}
+	if err == nil || ref.err == nil {
+		t.Fatalf("Failure(%d) = %d, %v; reference failure %v", c, seq, err, ref.err)
+	}
+	if seq != ref.seq || *err != *ref.err || !reflect.DeepEqual(spans, ref.spans) {
+		t.Errorf("Failure(%d) = call %d, %+v, %d spans; reference replay call %d, %+v, %d spans",
+			c, seq, *err, len(spans), ref.seq, *ref.err, len(ref.spans))
+	}
+}
+
 // TestTraceFitsConcurrent: sweep workers share one structure's trace, so
 // the first Fits calls race to compute the bounds; every caller must see
 // them and agree with the reference replay (run under -race).
@@ -165,7 +203,7 @@ func TestTraceFitsConcurrent(t *testing.T) {
 	caps := []int64{ref.peak - 1, ref.peak, (ref.peak + ref.fit) / 2, ref.fit}
 	want := make([]bool, len(caps))
 	for i, c := range caps {
-		want[i] = referenceFits(ref, c, &replayStats{})
+		want[i] = referenceFits(ref, c, &replayStats{}, nil)
 	}
 	tr := randomTrace(7)
 	var wg sync.WaitGroup
@@ -184,12 +222,14 @@ func TestTraceFitsConcurrent(t *testing.T) {
 }
 
 // TestTraceFitsEmpty: a trace without allocations fits every positive
-// capacity and no other.
+// capacity and no other, and no call of it fails at any capacity.
 func TestTraceFitsEmpty(t *testing.T) {
 	tr := &Trace{}
 	for _, c := range []int64{-1, 0, 1, 1 << 30} {
-		if got, want := tr.Fits(c), c > 0; got != want {
+		got, want := tr.Fits(c), c > 0
+		if got != want {
 			t.Errorf("Fits(%d) = %v, want %v", c, got, want)
 		}
+		checkFailure(t, tr, c, got, referenceFailure{})
 	}
 }

@@ -291,11 +291,15 @@ func TestPricedCountsOnlyStructureServedResults(t *testing.T) {
 
 // TestDifferentialRandomConfigs widens the equivalence guarantee beyond the
 // hand-picked grids: seeded random sweeps over network, batch, policy,
-// algorithm, codec and device/stage shape, each column swept over random
-// capacities — oracle requests, a 1 TiB capacity, untrainable
+// algorithm, codec, device/stage shape and Debug, each column swept over
+// random capacities — oracle requests, a 1 TiB capacity, untrainable
 // capacities and repeated keys among them — must come out of the production
 // engine at parallelism > 1 reflect.DeepEqual to the full-simulation
-// reference.
+// reference. Every seed must draw an untrainable, non-oracle,
+// structure-shaped point, the kind whose failure chain (and, under Debug,
+// free list) pricing replays instead of simulating, and some seed must draw
+// one under Debug that failed an allocation, so that a replayed free list is
+// compared.
 func TestDifferentialRandomConfigs(t *testing.T) {
 	nets := []*dnn.Network{
 		networks.AlexNet(32), networks.AlexNet(128), networks.GoogLeNet(32),
@@ -309,7 +313,8 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 	// take the differential path.
 	shapes := [][2]int{{1, 1}, {1, 1}, {1, 1}, {2, 1}, {1, 2}}
 
-	for seed := int64(1); seed <= 4; seed++ {
+	debugSpans := 0
+	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Draw sweep columns in pairs that differ in one dimension, so keys
 		// that must not share a structure sit side by side, then sweep
@@ -328,17 +333,20 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 			case 4:
 				shape := shapes[rng.Intn(len(shapes))]
 				j.Cfg.Devices, j.Cfg.Stages = shape[0], shape[1]
+			case 5:
+				j.Cfg.Debug = rng.Intn(2) == 0
 			}
 		}
+		const dims = 6
 		columns := make([]Job, 12)
 		for i := range columns {
 			if i%2 == 1 {
 				columns[i] = columns[i-1]
-				vary(&columns[i], rng.Intn(5))
+				vary(&columns[i], rng.Intn(dims))
 				continue
 			}
 			columns[i].Cfg.Spec = gpu.TitanX()
-			for dim := 0; dim < 5; dim++ {
+			for dim := 0; dim < dims; dim++ {
 				vary(&columns[i], dim)
 			}
 		}
@@ -365,16 +373,29 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: RunAll: %v", seed, err)
 		}
+		replayed := 0
 		for i, j := range jobs {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("seed %d job %d (%s, %v %v, codec %v, %d×%d, %d MiB, oracle %t): differential result differs from full simulation",
+				t.Errorf("seed %d job %d (%s, %v %v, codec %v, %d×%d, debug %t, %d MiB, oracle %t): differential result differs from full simulation",
 					seed, i, j.Net.Name, j.Cfg.Policy, j.Cfg.Algo, j.Cfg.Compression.Codec,
-					j.Cfg.Devices, j.Cfg.Stages, j.Cfg.Spec.MemBytes>>20, j.Cfg.Oracle)
+					j.Cfg.Devices, j.Cfg.Stages, j.Cfg.Debug, j.Cfg.Spec.MemBytes>>20, j.Cfg.Oracle)
 			}
+			if !want[i].Trainable && !j.Cfg.Oracle && core.StructureShaped(j.Cfg.WithDefaults()) {
+				replayed++
+				if want[i].DebugFreeSpans != nil {
+					debugSpans++
+				}
+			}
+		}
+		if replayed == 0 {
+			t.Errorf("seed %d: no untrainable, non-oracle, structure-shaped point drawn", seed)
 		}
 		if st := eng.Stats(); st.Structures == 0 || st.Priced == 0 {
 			t.Errorf("seed %d: the differential path went unexercised (stats %+v)", seed, st)
 		}
+	}
+	if debugSpans == 0 {
+		t.Errorf("no untrainable structure-shaped Debug point reported its free spans")
 	}
 }
 

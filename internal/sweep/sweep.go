@@ -139,9 +139,9 @@ type Stats struct {
 	// Priced is the number of results core.Structure.Price answered from a
 	// structure built by another request instead of a full simulation: the
 	// work the differential path avoided. An untrainable point counts too —
-	// it still runs its failing attempt, but takes its demand report from
-	// the structure. The request that builds a structure counts under
-	// Structures only, whether it is an oracle request or not.
+	// its failure is a trace replay to the failing allocation, and its
+	// demand report is the structure's. The request that builds a structure
+	// counts under Structures only, whether it is an oracle request or not.
 	Priced int64 `json:"priced"`
 	// Hits is the number of requests served from a completed cache entry.
 	Hits int64 `json:"hits"`
